@@ -14,7 +14,6 @@
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
 namespace {
@@ -155,29 +154,6 @@ void BM_ReachabilityFixpoint(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * z);
 }
 BENCHMARK(BM_ReachabilityFixpoint)->Arg(500)->Arg(2000)->Arg(8000);
-
-// The same fixpoint through the WorldView factory at 1/2/4/8 partition
-// shards (1 = the flat bank, the baseline above). The sharded matrices hold
-// the identical bits, so any slope here is pure boundary-exchange overhead.
-void BM_ShardedFixpoint(benchmark::State& state) {
-  const auto [s, t] = TestQuery();
-  (void)t;
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kZ = 2000;
-  const std::unique_ptr<WorldView> view =
-      MakeWorldView(TestGraph().graph, {.num_samples = kZ,
-                                        .seed = 29,
-                                        .num_threads = 1,
-                                        .num_partitions = shards});
-  const std::vector<EdgeId> active = view->AllEdges();
-  bitlane::BitMatrix reach;
-  for (auto _ : state) {
-    view->ReachabilityFixpoint(s, /*backward=*/false, active, &reach);
-    benchmark::DoNotOptimize(reach);
-  }
-  state.SetItemsProcessed(state.iterations() * kZ);
-}
-BENCHMARK(BM_ShardedFixpoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Bank fill: sampling Z worlds over every edge into the bit-matrix. One
 // iteration is one full bank construction (the once-per-solve cost that

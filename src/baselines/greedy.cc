@@ -1,13 +1,11 @@
 #include "baselines/greedy.h"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 
 #include "common/memory.h"
 #include "core/evaluate.h"
 #include "sampling/world_bank.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
 namespace {
@@ -56,12 +54,9 @@ class CandidateWorldScorer {
                        const std::vector<Edge>& candidates,
                        const SolverOptions& options)
       : g_plus_(AugmentGraph(g, candidates)),
-        bank_(MakeWorldView(
-            g_plus_,
-            WorldViewOptions{.num_samples = options.num_samples,
-                             .seed = options.seed ^ kGreedyBankSalt,
-                             .num_threads = options.num_threads,
-                             .num_partitions = options.num_partitions})),
+        bank_(g_plus_, {.num_samples = options.num_samples,
+                        .seed = options.seed ^ kGreedyBankSalt,
+                        .num_threads = options.num_threads}),
         s_(s),
         t_(t),
         candidates_(candidates) {
@@ -79,7 +74,7 @@ class CandidateWorldScorer {
       candidate_ids_.push_back(*g_plus_.EdgeIndexOf(c.src, c.dst));
       // Views into the bank's rows — the bank is a member, so they stay
       // valid for the scorer's lifetime.
-      candidate_up_.push_back(bank_->EdgeUpWorlds(candidate_ids_.back()));
+      candidate_up_.push_back(bank_.EdgeUpWorlds(candidate_ids_.back()));
     }
     BeginRound();
   }
@@ -89,19 +84,19 @@ class CandidateWorldScorer {
   /// as edges are committed, so the previous round's bits stay valid and
   /// seed the fixpoint.
   void BeginRound() {
-    bank_->ReachabilityFixpoint(s_, /*backward=*/false, active_, &from_s_,
-                                WorldView::SeedPolicy::kSeedsAreFacts);
-    bank_->ReachabilityFixpoint(t_, /*backward=*/true, active_, &to_t_,
-                                WorldView::SeedPolicy::kSeedsAreFacts);
+    bank_.ReachabilityFixpoint(s_, /*backward=*/false, active_, &from_s_,
+                               WorldBank::SeedPolicy::kSeedsAreFacts);
+    bank_.ReachabilityFixpoint(t_, /*backward=*/true, active_, &to_t_,
+                               WorldBank::SeedPolicy::kSeedsAreFacts);
     const uint64_t* const at_t = from_s_.row(t_);
-    connected_.assign(at_t, at_t + bank_->world_words());
-    base_hits_ = WorldView::CountBits(
-        connected_, static_cast<size_t>(bank_->num_worlds()));
+    connected_.assign(at_t, at_t + bank_.world_words());
+    base_hits_ = WorldBank::CountBits(
+        connected_, static_cast<size_t>(bank_.num_worlds()));
   }
 
   /// R(s, t) estimate for the current working edge set.
   double Base() const {
-    return static_cast<double>(base_hits_) / bank_->num_worlds();
+    return static_cast<double>(base_hits_) / bank_.num_worlds();
   }
 
   /// R(s, t) estimate with candidate `i` added to the working set. Exact
@@ -125,7 +120,7 @@ class CandidateWorldScorer {
       }
       hits += __builtin_popcountll(fresh & ~connected_[word]);
     }
-    return static_cast<double>(hits) / bank_->num_worlds();
+    return static_cast<double>(hits) / bank_.num_worlds();
   }
 
   /// Adds candidate `i` to the working edge set.
@@ -133,7 +128,7 @@ class CandidateWorldScorer {
 
  private:
   const UncertainGraph g_plus_;
-  std::unique_ptr<WorldView> bank_;
+  const WorldBank bank_;
   NodeId s_;
   NodeId t_;
   const std::vector<Edge>& candidates_;
@@ -152,20 +147,16 @@ bool UseSharedWorlds(const UncertainGraph& g, const SolverOptions& options) {
   if (!options.reuse_worlds || options.estimator != Estimator::kMonteCarlo) {
     return false;
   }
-  // One balanced bank shard plus the two per-node reach tables cost roughly
-  // (ceil(E / P) + 2V) * Z / 8 bytes; the cap is a **per-shard** budget, so
-  // raising --partitions admits graphs the flat bank could not. The
-  // intended workload is the eliminated subgraph, where this never trips;
-  // on a full-scale graph fall back to per-evaluation re-sampling instead
-  // of silently ballooning memory — but say so: the slow path is orders of
-  // magnitude more RNG work.
+  // The bank plus the two per-node reach tables cost roughly (E + 2V) * Z / 8
+  // bytes. The intended workload is the eliminated subgraph, where this never
+  // trips; on a full-scale graph fall back to per-evaluation re-sampling
+  // instead of silently ballooning memory — but say so: the slow path is
+  // orders of magnitude more RNG work.
   const size_t cap = options.max_shared_world_bytes;
-  const int shards = std::max(options.num_partitions, 1);
-  const size_t rows = BalancedShardRows(g.num_edges(), shards) +
-                      2 * static_cast<size_t>(g.num_nodes());
+  const size_t rows = g.num_edges() + 2 * static_cast<size_t>(g.num_nodes());
   const size_t wanted = BankBytes(rows, options.num_samples);
   if (wanted > cap) {
-    NoteBankFallback("greedy baseline", wanted, cap, shards);
+    NoteBankFallback("greedy baseline", wanted, cap);
     return false;
   }
   return true;

@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +34,7 @@ std::string EnvName(const std::string& flag) {
 
 Flags Flags::Parse(int argc, char** argv) {
   Flags flags;
+  if (argc > 0) flags.program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) Usage(argv[0], arg);
@@ -60,14 +64,45 @@ const std::string* Flags::Lookup(const std::string& name) const {
   return nullptr;
 }
 
+void Flags::BadValue(const std::string& name, const std::string& value,
+                     const char* want) const {
+  const std::string source =
+      values_.count(name) != 0 ? "" : " (from " + EnvName(name) + ")";
+  std::fprintf(stderr, "%s: invalid value '%s' for --%s%s: want %s\n",
+               program_.c_str(), value.c_str(), name.c_str(), source.c_str(),
+               want);
+  std::exit(2);
+}
+
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   const std::string* v = Lookup(name);
-  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
+  if (v == nullptr) return def;
+  // strtoll alone skips leading space, stops at junk, and saturates on
+  // overflow; every one of those must be an error, not a guess.
+  const char* begin = v->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(begin, &end, 10);
+  if (v->empty() || std::isspace(static_cast<unsigned char>(*begin)) ||
+      end == begin || *end != '\0' || errno == ERANGE) {
+    BadValue(name, *v, "an integer");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   const std::string* v = Lookup(name);
-  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
+  if (v == nullptr) return def;
+  const char* begin = v->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (v->empty() || std::isspace(static_cast<unsigned char>(*begin)) ||
+      end == begin || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    BadValue(name, *v, "a finite number");
+  }
+  return value;
 }
 
 std::string Flags::GetString(const std::string& name,
@@ -79,7 +114,9 @@ std::string Flags::GetString(const std::string& name,
 bool Flags::GetBool(const std::string& name, bool def) const {
   const std::string* v = Lookup(name);
   if (v == nullptr) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  BadValue(name, *v, "true|false|1|0|yes|no");
 }
 
 bool Flags::Has(const std::string& name) const {

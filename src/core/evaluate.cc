@@ -11,7 +11,6 @@
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
 namespace {
@@ -128,7 +127,7 @@ double PathUnionSubgraph::Reliability(const SolverOptions& options,
 struct PathSetEvaluator::Impl {
   /// Union of all annotated paths — the sampling universe.
   PathUnionSubgraph universe;
-  std::unique_ptr<WorldView> bank;
+  std::unique_ptr<WorldBank> bank;
   /// Per-path edge ids in the universe graph, in path order.
   std::vector<std::vector<EdgeId>> path_edges;
   /// Per-path world-indexed bitset: worlds where the whole path is up.
@@ -172,12 +171,11 @@ PathSetEvaluator::PathSetEvaluator(const UncertainGraph& g_plus, NodeId s,
   for (const AnnotatedPath& path : paths) {
     impl_->path_edges.push_back(impl_->universe.AddPath(path.path));
   }
-  impl_->bank = MakeWorldView(
+  impl_->bank = std::make_unique<WorldBank>(
       impl_->universe.graph(),
-      WorldViewOptions{.num_samples = options.num_samples,
-                       .seed = options.seed ^ kWorldBankSalt,
-                       .num_threads = options.num_threads,
-                       .num_partitions = options.num_partitions});
+      WorldBank::Options{.num_samples = options.num_samples,
+                         .seed = options.seed ^ kWorldBankSalt,
+                         .num_threads = options.num_threads});
   impl_->path_up.reserve(paths.size());
   for (const std::vector<EdgeId>& edges : impl_->path_edges) {
     impl_->path_up.push_back(impl_->bank->WorldsWithAllEdges(edges));

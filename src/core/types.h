@@ -60,21 +60,13 @@ struct SolverOptions {
   /// to the Monte Carlo estimator (RSS keeps its stratified per-evaluation
   /// streams).
   bool reuse_worlds = true;
-  /// Partition shards for the shared-world bank (`--partitions`). 1 keeps
-  /// the flat WorldBank; >1 edge-cut partitions the graph and shards the
-  /// bank so each shard is metered against `max_shared_world_bytes`
-  /// separately. Answers are bit-identical for any value (the sharded fill
-  /// replays the flat bank's canonical draw stream).
-  int num_partitions = 1;
-  /// **Per-shard** footprint budget for the shared-world fast path: when
-  /// one (balanced) shard of the bank plus the per-node reach tables would
-  /// exceed this many bytes, greedy selection falls back to per-evaluation
-  /// re-sampling (counted by BankFallbackCount and warned once on stderr).
-  /// With num_partitions == 1 this is the old whole-bank cap; raising
-  /// num_partitions turns the cliff into "add shards until it fits". The
-  /// default comfortably covers eliminated subgraphs; tests shrink it to
-  /// exercise the fallback.
-  size_t max_shared_world_bytes = size_t{1} << 28;  // 256 MB per shard
+  /// Footprint budget for the shared-world fast path: when the bank plus
+  /// the per-node reach tables would exceed this many bytes, greedy
+  /// selection falls back to per-evaluation re-sampling (counted by
+  /// BankFallbackCount and warned once on stderr). The default comfortably
+  /// covers eliminated subgraphs; raise it to keep a bigger graph on the
+  /// fast path, and tests shrink it to exercise the fallback.
+  size_t max_shared_world_bytes = size_t{1} << 28;  // 256 MB
 };
 
 /// Timing/size breakdown reported alongside a solution — the quantities the

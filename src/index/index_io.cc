@@ -8,16 +8,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "partition/partitioner.h"
 #include "sampling/bitlane.h"
-#include "sampling/sharded_world_bank.h"
-#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace {
@@ -47,16 +45,11 @@ int LabelBitsFor(NodeId num_nodes) {
   return bits;
 }
 
-/// The shard count MakeWorldView actually builds for a request — the
-/// partitioner's clamp to [1, min(num_nodes, kMaxPartitionShards)].
-int ClampShards(NodeId num_nodes, int requested) {
-  int shards = std::min(requested, kMaxPartitionShards);
-  if (shards < 1) shards = 1;
-  if (num_nodes > 0 && static_cast<NodeId>(shards) > num_nodes) {
-    shards = static_cast<int>(num_nodes);
-  }
-  return shards;
-}
+/// The section kinds in their required file order.
+constexpr IndexSectionKind kSectionOrder[] = {
+    IndexSectionKind::kBankRows, IndexSectionKind::kLabelPlanes,
+    IndexSectionKind::kLabelCompaction};
+constexpr size_t kNumSections = std::size(kSectionOrder);
 
 /// Lane-padded words per stored bank row. Saved rows use the same stride
 /// the in-memory BitMatrix allocates, which is what makes the mmap-ed
@@ -205,9 +198,9 @@ MappedFile::~MappedFile() {
   if (addr_ != nullptr) ::munmap(addr_, size_);
 }
 
-StatusOr<size_t> SaveIndex(const WorldView& bank,
+StatusOr<size_t> SaveIndex(const WorldBank& bank,
                            const ReliabilityIndex& index,
-                           const WorldViewOptions& world_options,
+                           const WorldBank::Options& world_options,
                            uint64_t generation, const std::string& path) {
   const UncertainGraph& g = bank.universe();
   const int num_worlds = bank.num_worlds();
@@ -223,38 +216,27 @@ StatusOr<size_t> SaveIndex(const WorldView& bank,
     return Status::InvalidArgument(
         "SaveIndex: bank is stale (graph has edges the bank never sampled)");
   }
-  const int num_partitions = std::max(1, world_options.num_partitions);
-  const Partition* part = bank.partition();
-  const bool sharded = num_partitions > 1;
-  if (sharded != (part != nullptr)) {
-    return Status::InvalidArgument(
-        "SaveIndex: world_options.num_partitions does not match the bank's "
-        "layout");
-  }
   const NodeId num_nodes = g.num_nodes();
   const size_t world_words = bank.world_words();
   const size_t stride_words = StrideWords(world_words);
-  const int num_shards = bank.num_shards();
   const int label_bits = index.label_bits();
 
-  // Assemble every payload section in memory (sections are at most the bank
-  // shards themselves, so this doubles the largest shard, not the file).
+  // Assemble every payload section in memory (this doubles the bank, the
+  // largest section, not the file).
   struct Section {
     IndexSectionKind kind;
     std::vector<uint64_t> words;  // u64-backed so bank rows stay aligned
     size_t bytes = 0;
   };
   std::vector<Section> sections;
-  for (int k = 0; k < num_shards; ++k) {
+  {
     Section s;
-    s.kind = IndexSectionKind::kBankShard;
-    const size_t rows =
-        (part != nullptr) ? part->shard_edges[k].size() : bank.num_edges();
+    s.kind = IndexSectionKind::kBankRows;
+    const size_t rows = bank.num_edges();
     s.words.assign(rows * stride_words, 0);
     for (size_t r = 0; r < rows; ++r) {
-      const EdgeId e = (part != nullptr) ? part->shard_edges[k][r]
-                                         : static_cast<EdgeId>(r);
-      const std::span<const uint64_t> up = bank.EdgeUpWorlds(e);
+      const std::span<const uint64_t> up =
+          bank.EdgeUpWorlds(static_cast<EdgeId>(r));
       std::memcpy(s.words.data() + r * stride_words, up.data(),
                   world_words * sizeof(uint64_t));
     }
@@ -279,14 +261,7 @@ StatusOr<size_t> SaveIndex(const WorldView& bank,
     std::memcpy(s.words.data(), counts.data(), s.bytes);
     sections.push_back(std::move(s));
   }
-  if (part != nullptr) {
-    Section s;
-    s.kind = IndexSectionKind::kPartitionMap;
-    s.bytes = part->node_shard.size() * sizeof(uint32_t);
-    s.words.assign((s.bytes + 7) / 8, 0);
-    std::memcpy(s.words.data(), part->node_shard.data(), s.bytes);
-    sections.push_back(std::move(s));
-  }
+  RELMAX_DCHECK(sections.size() == kNumSections);
 
   IndexFileHeader header = {};
   header.magic = kIndexMagic;
@@ -301,10 +276,7 @@ StatusOr<size_t> SaveIndex(const WorldView& bank,
   header.world_words = static_cast<uint32_t>(world_words);
   header.lane_words = static_cast<uint32_t>(bitlane::kLaneWords);
   header.label_bits = static_cast<uint32_t>(label_bits);
-  header.flags = (g.directed() ? kIndexFlagDirected : 0) |
-                 (sharded ? kIndexFlagSharded : 0);
-  header.num_partitions = static_cast<uint32_t>(num_partitions);
-  header.num_shards = static_cast<uint32_t>(num_shards);
+  header.flags = g.directed() ? kIndexFlagDirected : 0;
   header.num_sections = static_cast<uint32_t>(sections.size());
 
   // Lay the sections out 64-byte aligned and checksum each payload.
@@ -401,9 +373,7 @@ StatusOr<IndexFileInfo> InspectIndexFile(const std::string& path) {
       sizeof(IndexFileHeader) +
       static_cast<size_t>(info.header.num_sections) *
           sizeof(IndexSectionEntry);
-  if (info.header.num_sections >
-          static_cast<uint32_t>(kMaxPartitionShards) + 3 ||
-      file.size() < table_end) {
+  if (info.header.num_sections > kNumSections || file.size() < table_end) {
     return Status::IoError(path + ": truncated: section table out of bounds");
   }
   info.sections.resize(info.header.num_sections);
@@ -415,7 +385,7 @@ StatusOr<IndexFileInfo> InspectIndexFile(const std::string& path) {
 
 StatusOr<LoadedIndex> LoadIndex(
     const std::string& path, const UncertainGraph& g,
-    const WorldViewOptions& world_options,
+    const WorldBank::Options& world_options,
     const ReliabilityIndex::Options& index_options) {
   StatusOr<MappedFile> mapped = MappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
@@ -473,13 +443,6 @@ StatusOr<LoadedIndex> LoadIndex(
         std::to_string(h.lane_words) + " words per lane block, expected " +
         std::to_string(bitlane::kLaneWords) + ")");
   }
-  const int num_partitions = std::max(1, world_options.num_partitions);
-  if (h.num_partitions != static_cast<uint32_t>(num_partitions)) {
-    return Status::FailedPrecondition(
-        path + ": index was built with --partitions " +
-        std::to_string(h.num_partitions) + ", expected " +
-        std::to_string(num_partitions));
-  }
 
   // Internal-consistency checks: these fields are pure functions of the key
   // fields above, so a disagreement means a corrupt or hand-edited header.
@@ -487,15 +450,9 @@ StatusOr<LoadedIndex> LoadIndex(
   const int num_worlds = world_options.num_samples;
   const size_t world_words = (static_cast<size_t>(num_worlds) + 63) / 64;
   const size_t stride_words = StrideWords(world_words);
-  const bool sharded = num_partitions > 1;
-  const int num_shards = ClampShards(num_nodes, num_partitions);
-  const uint32_t expected_sections =
-      static_cast<uint32_t>(num_shards) + 2 + (sharded ? 1 : 0);
   if (h.world_words != world_words ||
       h.label_bits != static_cast<uint32_t>(LabelBitsFor(num_nodes)) ||
-      ((h.flags & kIndexFlagSharded) != 0) != sharded ||
-      h.num_shards != static_cast<uint32_t>(num_shards) ||
-      h.num_sections != expected_sections) {
+      (h.flags & ~kIndexFlagDirected) != 0 || h.num_sections != kNumSections) {
     return Status::InvalidArgument(
         path + ": inconsistent header (corrupt or hand-edited)");
   }
@@ -504,22 +461,15 @@ StatusOr<LoadedIndex> LoadIndex(
   // Section table: exact expected kind sequence, 64-byte aligned offsets,
   // and a byte-exact total file size (anything shorter is truncation).
   const size_t table_offset = sizeof(IndexFileHeader);
-  const size_t table_bytes = expected_sections * sizeof(IndexSectionEntry);
+  const size_t table_bytes = kNumSections * sizeof(IndexSectionEntry);
   if (file_size < table_offset + table_bytes) {
     return Status::IoError(path + ": truncated inside the section table");
   }
-  std::vector<IndexSectionEntry> table(expected_sections);
+  std::vector<IndexSectionEntry> table(kNumSections);
   std::memcpy(table.data(), base + table_offset, table_bytes);
-  std::vector<IndexSectionKind> expected_kinds;
-  for (int k = 0; k < num_shards; ++k) {
-    expected_kinds.push_back(IndexSectionKind::kBankShard);
-  }
-  expected_kinds.push_back(IndexSectionKind::kLabelPlanes);
-  expected_kinds.push_back(IndexSectionKind::kLabelCompaction);
-  if (sharded) expected_kinds.push_back(IndexSectionKind::kPartitionMap);
   size_t cursor = Align64(table_offset + table_bytes);
   for (size_t i = 0; i < table.size(); ++i) {
-    if (table[i].kind != static_cast<uint64_t>(expected_kinds[i])) {
+    if (table[i].kind != static_cast<uint64_t>(kSectionOrder[i])) {
       return Status::InvalidArgument(
           path + ": unexpected section kind " + std::to_string(table[i].kind) +
           " at table slot " + std::to_string(i));
@@ -540,8 +490,7 @@ StatusOr<LoadedIndex> LoadIndex(
     cursor = Align64(table[i].offset + table[i].length);
   }
   const size_t footer_offset = cursor;
-  const size_t footer_bytes =
-      (2 + static_cast<size_t>(expected_sections)) * sizeof(uint64_t);
+  const size_t footer_bytes = (2 + kNumSections) * sizeof(uint64_t);
   if (file_size != footer_offset + footer_bytes) {
     return Status::IoError(
         path + ": truncated: " + std::to_string(file_size) +
@@ -573,44 +522,16 @@ StatusOr<LoadedIndex> LoadIndex(
     }
   }
 
-  // Payload shapes. For a sharded bank the partition map determines each
-  // shard's row count, so parse it first (it is the last section).
-  Partition partition;
-  std::vector<size_t> shard_rows;
-  if (sharded) {
-    const IndexSectionEntry& pm = table.back();
-    if (pm.length != static_cast<size_t>(num_nodes) * sizeof(uint32_t)) {
-      return Status::InvalidArgument(path + ": partition map has " +
-                                     std::to_string(pm.length) +
-                                     " bytes, expected 4 per node");
-    }
-    std::vector<uint32_t> node_shard(num_nodes);
-    std::memcpy(node_shard.data(), base + pm.offset, pm.length);
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      if (node_shard[v] >= static_cast<uint32_t>(num_shards)) {
-        return Status::InvalidArgument(
-            path + ": partition map assigns node " + std::to_string(v) +
-            " to shard " + std::to_string(node_shard[v]) + " of " +
-            std::to_string(num_shards));
-      }
-    }
-    partition = PartitionFromNodeShard(g, num_shards, std::move(node_shard));
-    for (int k = 0; k < num_shards; ++k) {
-      shard_rows.push_back(partition.shard_edges[k].size());
-    }
-  } else {
-    shard_rows.push_back(g.num_edges());
-  }
+  // Payload shapes.
+  const IndexSectionEntry& bank_entry = table[0];
+  const size_t num_edges = g.num_edges();
   const size_t row_bytes = stride_words * sizeof(uint64_t);
-  for (int k = 0; k < num_shards; ++k) {
-    if (table[k].length != shard_rows[k] * row_bytes) {
-      return Status::InvalidArgument(
-          path + ": bank shard " + std::to_string(k) + " holds " +
-          std::to_string(table[k].length) + " bytes, expected " +
-          std::to_string(shard_rows[k] * row_bytes));
-    }
+  if (bank_entry.length != num_edges * row_bytes) {
+    return Status::InvalidArgument(
+        path + ": bank rows hold " + std::to_string(bank_entry.length) +
+        " bytes, expected " + std::to_string(num_edges * row_bytes));
   }
-  const IndexSectionEntry& labels_entry = table[num_shards];
+  const IndexSectionEntry& labels_entry = table[1];
   const size_t label_words_expected = static_cast<size_t>(num_nodes) *
                                       label_bits * world_words;
   if (labels_entry.length != label_words_expected * sizeof(uint64_t)) {
@@ -619,7 +540,7 @@ StatusOr<LoadedIndex> LoadIndex(
         " bytes, expected " +
         std::to_string(label_words_expected * sizeof(uint64_t)));
   }
-  const IndexSectionEntry& compaction_entry = table[num_shards + 1];
+  const IndexSectionEntry& compaction_entry = table[2];
   if (compaction_entry.length !=
       static_cast<size_t>(num_worlds) * sizeof(uint32_t)) {
     return Status::InvalidArgument(path +
@@ -647,39 +568,26 @@ StatusOr<LoadedIndex> LoadIndex(
   const uint64_t tail_mask = (num_worlds & 63)
                                  ? (uint64_t{1} << (num_worlds & 63)) - 1
                                  : ~uint64_t{0};
-  for (int k = 0; k < num_shards; ++k) {
-    const uint64_t* const rows =
-        reinterpret_cast<const uint64_t*>(base + table[k].offset);
-    for (size_t r = 0; r < shard_rows[k]; ++r) {
-      const uint64_t* const row = rows + r * stride_words;
-      uint64_t bad = row[world_words - 1] & ~tail_mask;
-      for (size_t w = world_words; w < stride_words; ++w) bad |= row[w];
-      if (bad != 0) {
-        return Status::InvalidArgument(
-            path + ": bank shard " + std::to_string(k) + " row " +
-            std::to_string(r) + " has nonzero tail/pad bits");
-      }
+  const uint64_t* const bank_rows =
+      reinterpret_cast<const uint64_t*>(base + bank_entry.offset);
+  for (size_t r = 0; r < num_edges; ++r) {
+    const uint64_t* const row = bank_rows + r * stride_words;
+    uint64_t bad = row[world_words - 1] & ~tail_mask;
+    for (size_t w = world_words; w < stride_words; ++w) bad |= row[w];
+    if (bad != 0) {
+      return Status::InvalidArgument(path + ": bank row " + std::to_string(r) +
+                                     " has nonzero tail/pad bits");
     }
   }
 
   // Everything checks out — adopt the mapped bank rows zero-copy. The
-  // const_cast is confined to here: the mapping is PROT_READ and neither
-  // bank implementation writes its up-matrix after construction, so any
-  // accidental write faults loudly instead of corrupting the file.
-  std::vector<bitlane::BitMatrix> mats;
-  for (int k = 0; k < num_shards; ++k) {
-    uint64_t* const rows = reinterpret_cast<uint64_t*>(
-        const_cast<unsigned char*>(base + table[k].offset));
-    mats.push_back(
-        bitlane::BitMatrix::External(rows, shard_rows[k], world_words));
-  }
-  if (sharded) {
-    out.bank = std::make_unique<ShardedWorldBank>(
-        g, std::move(partition), num_worlds, std::move(mats));
-  } else {
-    out.bank =
-        std::make_unique<WorldBank>(g, num_worlds, std::move(mats[0]));
-  }
+  // const_cast is confined to here: the mapping is PROT_READ and the bank
+  // never writes its up-matrix after construction, so any accidental write
+  // faults loudly instead of corrupting the file.
+  uint64_t* const rows = const_cast<uint64_t*>(bank_rows);
+  out.bank = std::make_unique<WorldBank>(
+      g, num_worlds,
+      bitlane::BitMatrix::External(rows, num_edges, world_words));
 
   if (labels_entry.length > index_options.max_label_bytes) {
     return Status::FailedPrecondition(

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "common/logging.h"
-#include "partition/partitioner.h"
 #include "sampling/parallel.h"
 
 namespace relmax {
@@ -33,8 +32,8 @@ std::vector<uint64_t> AllWorlds(int num_worlds, size_t world_words) {
 /// Per-lane labeling scratch, reused across every world a lane relabels.
 struct LabelScratch {
   // This 64-world word of every edge's up row, hoisted once per word so the
-  // per-world inner loops index a flat array instead of calling the virtual
-  // EdgeUpWorlds per (edge, world).
+  // per-world inner loops read one flat array instead of striding across
+  // the bank's rows per (edge, world).
   std::vector<uint64_t> up_words;
   // Undirected union-find.
   std::vector<NodeId> parent;
@@ -74,7 +73,7 @@ bool ReliabilityIndex::Fits(const UncertainGraph& g, int num_samples,
   return LabelBytes(g.num_nodes(), num_samples) <= options.max_label_bytes;
 }
 
-ReliabilityIndex::ReliabilityIndex(const WorldView& bank,
+ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options)
     : bank_(&bank),
       options_(options),
@@ -92,7 +91,7 @@ ReliabilityIndex::ReliabilityIndex(const WorldView& bank,
   RelabelWorlds(AllWorlds(num_worlds_, world_words_));
 }
 
-ReliabilityIndex::ReliabilityIndex(const WorldView& bank,
+ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options,
                                    std::vector<uint64_t> labels, AdoptLabels)
     : bank_(&bank),
@@ -110,7 +109,7 @@ ReliabilityIndex::ReliabilityIndex(const WorldView& bank,
 }
 
 std::unique_ptr<ReliabilityIndex> ReliabilityIndex::FromSavedLabels(
-    const WorldView& bank, const Options& options,
+    const WorldBank& bank, const Options& options,
     std::vector<uint64_t> labels) {
   return std::unique_ptr<ReliabilityIndex>(
       new ReliabilityIndex(bank, options, std::move(labels), AdoptLabels{}));
@@ -121,27 +120,6 @@ void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
   const size_t num_rows = static_cast<size_t>(num_nodes_) * label_bits_;
   const std::vector<Edge>& edges = universe.EdgesById();
   const CsrView csr = directed_ ? universe.OutCsr() : CsrView{};
-  // Undirected sharded banks label shard-locally first: each partition
-  // shard's intra-shard edges are unioned on their own, then one boundary
-  // merge pass over the cut edges joins components across shards. The final
-  // union-find partition is independent of union order and the remap below
-  // is canonical, so the resulting labels are bit-identical to a flat
-  // bank's single pass. (Directed SCCs don't decompose along an edge cut,
-  // so they keep the global Tarjan regardless of sharding.)
-  const Partition* part = directed_ ? nullptr : bank_->partition();
-  if (part != nullptr && part->num_shards <= 1) part = nullptr;
-  std::vector<std::vector<EdgeId>> intra_edges;
-  std::vector<EdgeId> cut_edges;
-  if (part != nullptr) {
-    intra_edges.resize(part->num_shards);
-    for (size_t e = 0; e < edges.size(); ++e) {
-      if (part->node_shard[edges[e].src] == part->node_shard[edges[e].dst]) {
-        intra_edges[part->edge_shard[e]].push_back(static_cast<EdgeId>(e));
-      } else {
-        cut_edges.push_back(static_cast<EdgeId>(e));
-      }
-    }
-  }
   // One shard per 64-world word: a shard writes only bit-word `word` of every
   // plane row, so shards are race-free, and per-world labels are a pure
   // function of the bank bits — bit-identical for any num_threads.
@@ -184,22 +162,11 @@ void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
             // edges, labels compacted by first appearance in node order.
             s.parent.resize(num_nodes_);
             for (NodeId v = 0; v < num_nodes_; ++v) s.parent[v] = v;
-            auto union_edge = [&](EdgeId e) {
-              if (!edge_up(e)) return;
+            for (size_t e = 0; e < edges.size(); ++e) {
+              if (!edge_up(static_cast<EdgeId>(e))) continue;
               const NodeId a = Find(s.parent, edges[e].src);
               const NodeId b = Find(s.parent, edges[e].dst);
               if (a != b) s.parent[std::max(a, b)] = std::min(a, b);
-            };
-            if (part != nullptr) {
-              // Shard-local labels, then the boundary merge pass.
-              for (const std::vector<EdgeId>& shard : intra_edges) {
-                for (EdgeId e : shard) union_edge(e);
-              }
-              for (EdgeId e : cut_edges) union_edge(e);
-            } else {
-              for (size_t e = 0; e < edges.size(); ++e) {
-                union_edge(static_cast<EdgeId>(e));
-              }
             }
             s.remap.assign(num_nodes_, kInvalidNode);
             NodeId next = 0;
@@ -331,7 +298,7 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
   if (!directed_) return eq;
   // Same SCC in every world ⇒ mutually reachable everywhere: answer without
   // any flood. (The flood would set exactly these bits too.)
-  if (WorldView::CountBits(eq, static_cast<size_t>(num_worlds_)) ==
+  if (WorldBank::CountBits(eq, static_cast<size_t>(num_worlds_)) ==
       num_worlds_) {
     return eq;
   }
@@ -342,13 +309,13 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
 
 double ReliabilityIndex::Query(NodeId s, NodeId t) {
   return static_cast<double>(
-             WorldView::CountBits(ConnectedWorlds(s, t),
+             WorldBank::CountBits(ConnectedWorlds(s, t),
                                   static_cast<size_t>(num_worlds_))) /
          num_worlds_;
 }
 
-std::vector<uint64_t> ReliabilityIndex::DiffWorlds(const WorldView& old_bank,
-                                                   const WorldView& fresh) {
+std::vector<uint64_t> ReliabilityIndex::DiffWorlds(const WorldBank& old_bank,
+                                                   const WorldBank& fresh) {
   RELMAX_CHECK(old_bank.num_worlds() == fresh.num_worlds());
   const size_t world_words = fresh.world_words();
   std::vector<uint64_t> mask(world_words, 0);
@@ -378,7 +345,7 @@ std::vector<uint64_t> ReliabilityIndex::DiffWorlds(const WorldView& old_bank,
   return mask;
 }
 
-void ReliabilityIndex::ApplyBankUpdate(const WorldView& fresh,
+void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
                                        const std::vector<uint64_t>& affected) {
   RELMAX_CHECK(fresh.num_worlds() == num_worlds_);
   RELMAX_CHECK(fresh.universe().num_nodes() == num_nodes_);
@@ -397,7 +364,7 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldView& fresh,
   stats_.reach_floods = 0;
   stats_.reach_row_evictions = 0;
   const size_t worlds = static_cast<size_t>(
-      WorldView::CountBits(affected, static_cast<size_t>(num_worlds_)));
+      WorldBank::CountBits(affected, static_cast<size_t>(num_worlds_)));
   ++stats_.incremental_updates;
   stats_.last_update_worlds = worlds;
   stats_.worlds_relabeled += worlds;

@@ -52,12 +52,6 @@ struct QueryEngineOptions {
   /// graph mutation republish atomically (write-temp + rename) with the
   /// header's generation counter bumped.
   std::string index_file;
-  /// Partition shards for the shared bank (`--partitions`). 1 keeps the
-  /// flat WorldBank; >1 edge-cut partitions the graph and shards the bank's
-  /// bit-matrix, turning max_bank_bytes into a per-shard budget. Answers
-  /// are bit-identical for any value — the sharded fill replays the flat
-  /// bank's canonical draw stream and floods converge to the same fixpoint.
-  int num_partitions = 1;
   /// Footprint caps forwarded to the index (label planes, directed reach
   /// cache). num_threads is overridden by the engine's own knob.
   ReliabilityIndex::Options index;
@@ -74,13 +68,12 @@ struct QueryEngineOptions {
   /// above override the matching RssOptions fields).
   RssOptions rss;
   /// Footprint caps for the shared-world fast path (mirroring the greedy
-  /// baselines' bank cap): the bank is edges × worlds bits **per shard**
-  /// (one balanced shard of ceil(E / num_partitions) rows is metered
-  /// against max_bank_bytes, so more partitions admit bigger graphs), and
-  /// each flood lane additionally holds a nodes × worlds reach matrix.
-  /// Beyond either cap the engine falls back to per-query estimation rather
-  /// than swapping; each such batch bumps BatchStats::bank_fallbacks and
-  /// warns on stderr with the per-shard MiB wanted vs the cap.
+  /// baselines' bank cap): the bank is edges × worlds bits, and each flood
+  /// lane additionally holds a nodes × worlds reach matrix. Beyond either
+  /// cap the engine falls back to per-query estimation rather than
+  /// swapping; each such batch bumps BatchStats::bank_fallbacks and warns
+  /// on stderr with the MiB wanted vs the cap. Raise the caps to keep a
+  /// bigger graph on the shared-world path.
   size_t max_bank_bytes = size_t{256} << 20;
   size_t max_flood_bytes_per_lane = size_t{64} << 20;
 };
@@ -129,10 +122,9 @@ struct BatchStats {
   size_t index_answers = 0;
   /// Result-cache entries evicted by this batch (max_cache_entries cap).
   size_t cache_evictions = 0;
-  /// Logical bank bytes held per shard (WorldView::ShardBankBytes) — one
-  /// entry for the flat bank, num_partitions entries for a sharded one;
-  /// empty when no bank was built (fallback path / shared worlds off).
-  std::vector<size_t> shard_bank_bytes;
+  /// Logical bank bytes held (edges × world words × 8, lane pad excluded);
+  /// 0 when no bank was built (fallback path / shared worlds off).
+  size_t bank_bytes = 0;
   double seconds = 0.0;
 };
 
@@ -239,8 +231,8 @@ class QueryEngine {
   // options_.index_file implies use_index.
   bool UseIndex() const;
 
-  // The WorldViewOptions every bank build / load / save keys on.
-  WorldViewOptions WorldOptions() const;
+  // The bank options every bank build / load / save keys on.
+  WorldBank::Options WorldOptions() const;
 
   // Attempts to adopt bank + index from options_.index_file. NotFound is
   // silent (the build path will save); any other failure warns on stderr
@@ -258,7 +250,7 @@ class QueryEngine {
   // Declared before bank_/index_ so it is destroyed after them: a loaded
   // bank's bit rows point into this read-only mapping (zero copy).
   MappedFile index_mapping_;
-  std::unique_ptr<WorldView> bank_;
+  std::unique_ptr<WorldBank> bank_;
   std::unique_ptr<ReliabilityIndex> index_;
   std::vector<EdgeId> all_edges_;
   // Graph shape the bank was sampled against: node count plus the endpoints

@@ -211,6 +211,52 @@ TEST(FlagsTest, EnvironmentFallback) {
   unsetenv("RELMAX_FROM_ENV");
 }
 
+// Parses one `--name=value` argument.
+Flags OneFlag(const char* arg) {
+  const char* argv[] = {"prog", arg};
+  return Flags::Parse(2, const_cast<char**>(argv));
+}
+
+TEST(FlagsTest, AcceptsWellFormedValues) {
+  EXPECT_EQ(OneFlag("--n=-5").GetInt("n", 0), -5);
+  EXPECT_EQ(OneFlag("--n=+7").GetInt("n", 0), 7);
+  EXPECT_DOUBLE_EQ(OneFlag("--x=1e-3").GetDouble("x", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(OneFlag("--x=-5").GetDouble("x", 0.0), -5.0);
+  EXPECT_TRUE(OneFlag("--b=yes").GetBool("b", false));
+  EXPECT_TRUE(OneFlag("--b=1").GetBool("b", false));
+  EXPECT_FALSE(OneFlag("--b=no").GetBool("b", true));
+  EXPECT_FALSE(OneFlag("--b=0").GetBool("b", true));
+  EXPECT_FALSE(OneFlag("--b=false").GetBool("b", true));
+}
+
+TEST(FlagsDeathTest, MalformedValuesExitTwoNamingTheFlag) {
+  const auto exits = testing::ExitedWithCode(2);
+  EXPECT_EXIT(OneFlag("--n=abc").GetInt("n", 0), exits,
+              "prog: invalid value 'abc' for --n: want an integer");
+  EXPECT_EXIT(OneFlag("--n=12x").GetInt("n", 0), exits, "'12x' for --n");
+  EXPECT_EXIT(OneFlag("--n=").GetInt("n", 0), exits, "'' for --n");
+  EXPECT_EXIT(OneFlag("--n= 4").GetInt("n", 0), exits, "' 4' for --n");
+  EXPECT_EXIT(OneFlag("--n=99999999999999999999").GetInt("n", 0), exits,
+              "for --n: want an integer");
+  EXPECT_EXIT(OneFlag("--x=0.5.1").GetDouble("x", 0.0), exits,
+              "'0.5.1' for --x: want a finite number");
+  EXPECT_EXIT(OneFlag("--x=inf").GetDouble("x", 0.0), exits, "'inf' for --x");
+  EXPECT_EXIT(OneFlag("--x=1e999").GetDouble("x", 0.0), exits,
+              "'1e999' for --x");
+  EXPECT_EXIT(OneFlag("--x=").GetDouble("x", 0.0), exits, "'' for --x");
+  EXPECT_EXIT(OneFlag("--b=ture").GetBool("b", false), exits,
+              "'ture' for --b: want true\\|false");
+}
+
+TEST(FlagsDeathTest, MalformedEnvironmentValueNamesTheVariable) {
+  setenv("RELMAX_BAD_ENV", "7up", 1);
+  const char* argv[] = {"prog"};
+  Flags flags = Flags::Parse(1, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetInt("bad-env", 0), testing::ExitedWithCode(2),
+              "'7up' for --bad-env \\(from RELMAX_BAD_ENV\\)");
+  unsetenv("RELMAX_BAD_ENV");
+}
+
 // ---------------------------------------------------------------- Timer/mem
 
 TEST(TimerTest, ElapsedIsMonotonic) {

@@ -2,6 +2,7 @@
 // query generation -> elimination -> path extraction -> selection ->
 // verification) across module boundaries, plus cross-method consistency.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -165,8 +166,12 @@ TEST(IntegrationTest, MultiAverageConsistentWithSinglePairUnion) {
 // plumbing fails these loudly. Wall-clock timings are normalized away;
 // thread counts 1 and 4 must produce byte-identical normalized output.
 
-std::string RunCli(const std::string& args) {
-  const std::string cmd = std::string(RELMAX_CLI_PATH) + " " + args + " 2>&1";
+// Runs relmax_cli with `args` (plus `env` assignments prefixed to the shell
+// command) and returns its stdout+stderr; `*exit_code` gets the exit status.
+std::string RunCliWithExit(const std::string& args, int* exit_code,
+                           const std::string& env = "") {
+  const std::string cmd =
+      env + std::string(RELMAX_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   if (pipe == nullptr) return "";
@@ -176,7 +181,15 @@ std::string RunCli(const std::string& args) {
   while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
     out.append(buffer, n);
   }
-  EXPECT_EQ(pclose(pipe), 0) << cmd << "\n" << out;
+  const int status = pclose(pipe);
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return out;
+}
+
+std::string RunCli(const std::string& args) {
+  int exit_code = -1;
+  const std::string out = RunCliWithExit(args, &exit_code);
+  EXPECT_EQ(exit_code, 0) << args << "\n" << out;
   return out;
 }
 
@@ -274,7 +287,7 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 3 floods, "
             "0 fallback estimates, 0 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [5008], <t> s)\n");
+            "(20000 samples, bank bytes 5008, <t> s)\n");
 
   // Index path: same bank, same bits — the R values must equal the
   // shared-flood run digit for digit. 4 nodes -> 2 label bits; 20000 worlds
@@ -292,30 +305,9 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [5008], <t> s)\n"
+            "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "20000 worlds relabeled, 3 reach floods\n");
-
-  // Partition-sharded bank: identical R values and flood counts — the
-  // sharded fill replays the flat bank's canonical draw stream, so only the
-  // per-shard byte accounting may differ from the flat run. Example-3's two
-  // edges both land in shard 1 (edge owner is the min endpoint shard), so
-  // the partitioner warns once that shard 0 owns no edges.
-  const std::string sharded = NormalizeTimings(RunCli(
-      "batch --graph " + graph + " --queries " + queries +
-      " --samples 20000 --seed 5 --partitions 2 --threads " + threads));
-  EXPECT_EQ(sharded,
-            "relmax: partitioner: 1 of 2 shards own no edges (graph too "
-            "small for the requested --partitions); they contribute nothing "
-            "but bookkeeping\n"
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
-            "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
-            "R(1, 3) = 0.0000\n"
-            "batch: 5 queries, 4 distinct pairs, 3 floods, "
-            "0 fallback estimates, 0 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [0 5008], <t> s)\n");
 
   // Per-query fallback: one estimate per distinct pair. R(2, 3) must match
   // the `estimate` golden above exactly — the fallback IS that code path.
@@ -330,7 +322,7 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "4 fallback estimates, 0 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [], <t> s)\n");
+            "(20000 samples, bank bytes 0, <t> s)\n");
 }
 
 TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
@@ -365,7 +357,7 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [5008], <t> s)\n"
+            "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "20000 worlds relabeled, 3 reach floods\n"
             "index_io: 0 loads, 1 saves, 0 load failures, "
@@ -373,14 +365,14 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
 
   // `index load` validates the full file (key, layout, checksums) and
   // reports its shape. The byte size pins the on-disk format itself: header
-  // 96 + table + 64-byte-aligned sections (bank 5120, labels 20032,
+  // 88 + table + 64-byte-aligned sections (bank 5120, labels 20032,
   // compaction 80000) + footer.
   const std::string loaded = normalize(RunCli(
       "index load --graph " + graph + " --index-file " + index_file +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(loaded,
             "loaded <index>: generation 1, 105384 bytes (20000 worlds, "
-            "2 label bits, 20032 label bytes, 1 shards, <t> s)\n");
+            "2 label bits, 20032 label bytes, <t> s)\n");
 
   // Second batch: mmap-load, no sampling, no relabeling — "0 worlds
   // relabeled" is the load path's signature. Answers identical again.
@@ -396,7 +388,7 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [5008], <t> s)\n"
+            "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "0 worlds relabeled, 3 reach floods\n"
             "index_io: 1 loads, 0 saves, 0 load failures, "
@@ -409,7 +401,7 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(saved,
             "saved <index>: generation 1, 105384 bytes (20000 worlds, "
-            "2 label bits, 20032 label bytes, 1 shards, <t> s)\n");
+            "2 label bits, 20032 label bytes, <t> s)\n");
 }
 
 TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
@@ -434,6 +426,42 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenCliThreadSweep, testing::Values(1, 4));
+
+// Malformed numeric and boolean flag values must stop the run with exit
+// status 2 and a message naming the flag and the value — never run with a
+// guessed value (`--threads abc` must not read as 0, "all cores").
+TEST(GoldenCliFlagErrors, MalformedValuesExitTwo) {
+  const std::string graph = WriteExample3Graph();
+  const std::string queries = WriteExample3Queries();
+  const auto expect_rejected = [](const std::string& args,
+                                  const std::string& want,
+                                  const std::string& env = "") {
+    int exit_code = -1;
+    const std::string out = RunCliWithExit(args, &exit_code, env);
+    EXPECT_EQ(exit_code, 2) << args << "\n" << out;
+    EXPECT_EQ(out, want) << args;
+  };
+  const std::string estimate = "estimate --graph " + graph + " --s 2 --t 3";
+  expect_rejected(estimate + " --threads abc",
+                  "estimate: invalid value 'abc' for --threads: want an "
+                  "integer\n");
+  expect_rejected(estimate + " --samples 12x",
+                  "estimate: invalid value '12x' for --samples: want an "
+                  "integer\n");
+  expect_rejected(
+      "batch --graph " + graph + " --queries " + queries + " --index=ture",
+      "batch: invalid value 'ture' for --index: want true|false|1|0|yes|no\n");
+  expect_rejected("solve --graph " + graph + " --s 0 --t 3 --zeta 0.5.1",
+                  "solve: invalid value '0.5.1' for --zeta: want a finite "
+                  "number\n");
+  expect_rejected(estimate + " --seed 99999999999999999999",
+                  "estimate: invalid value '99999999999999999999' for "
+                  "--seed: want an integer\n");
+  expect_rejected(estimate,
+                  "estimate: invalid value 'two' for --threads (from "
+                  "RELMAX_THREADS): want an integer\n",
+                  "RELMAX_THREADS=two ");
+}
 
 }  // namespace
 }  // namespace relmax

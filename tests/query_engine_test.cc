@@ -420,12 +420,11 @@ TEST(QueryEngineTest, TinyBankCapFallsBackAndCountsIt) {
   EXPECT_EQ(expected->stats.bank_fallbacks, 0u);
 }
 
-TEST(QueryEngineTest, PartitionsLiftThePerShardBankCap) {
-  // The ISSUE acceptance shape in miniature: a cap the flat bank exceeds but
-  // one balanced shard of a 4-way partition fits. The partitioned engine
-  // must keep the shared-world fast path (no fallback, no counter bump) and
-  // answer bit-identically to the uncapped flat engine — the canonical
-  // draw-stream layout makes shard count invisible in the results.
+TEST(QueryEngineTest, RaisedBankCapKeepsOverCapGraphOnSharedWorlds) {
+  // A graph whose bank exceeds the cap falls back loudly, per pair; the way
+  // back onto the shared-world path is to raise max_bank_bytes, which gives
+  // answers bit-identical to an uncapped engine and reports the bank's
+  // logical bytes.
   const UncertainGraph g = RandomGraph(29, 12, 0.4, false);
   QuerySet set;
   for (NodeId t = 1; t < 9; ++t) set.AddSt(0, t);
@@ -435,39 +434,30 @@ TEST(QueryEngineTest, PartitionsLiftThePerShardBankCap) {
   const auto want = reference.Answer(set);
   ASSERT_TRUE(want.ok());
   EXPECT_GT(want->stats.floods, 0u);
+  const size_t bank_bytes = BankBytes(g.num_edges(), kZ);
+  EXPECT_EQ(want->stats.bank_bytes, bank_bytes);
 
-  const size_t flat_bytes = BankBytes(g.num_edges(), kZ);
   QueryEngineOptions capped = EngineOptions(kZ);
-  capped.max_bank_bytes = flat_bytes / 2;  // too small for the flat bank
-  capped.num_partitions = 4;               // ...but 4 shards fit under it
-  ASSERT_LE(BankBytes(BalancedShardRows(g.num_edges(), 4), kZ),
-            capped.max_bank_bytes);
+  capped.max_bank_bytes = bank_bytes / 2;
   const int64_t before = BankFallbackCount();
-  QueryEngine sharded(g, capped);
-  const auto got = sharded.Answer(set);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->stats.bank_fallbacks, 0u);
-  EXPECT_EQ(BankFallbackCount(), before);
-  EXPECT_GT(got->stats.floods, 0u);
-  EXPECT_EQ(got->st_values, want->st_values);
-  // The shard byte vector partitions the flat footprint exactly. Individual
-  // shards may sit above the balanced estimate the cap meters (edge
-  // ownership follows the min-endpoint rule, not a strict row split) — the
-  // admission contract is on ceil(E / P) rows, asserted above.
-  ASSERT_EQ(got->stats.shard_bank_bytes.size(), 4u);
-  size_t total = 0;
-  for (const size_t bytes : got->stats.shard_bank_bytes) total += bytes;
-  EXPECT_EQ(total, flat_bytes);
-
-  // The same cap without partitions trips the fallback — the cliff the
-  // per-shard budget exists to remove.
-  QueryEngineOptions flat_capped = EngineOptions(kZ);
-  flat_capped.max_bank_bytes = capped.max_bank_bytes;
-  QueryEngine tripped(g, flat_capped);
+  QueryEngine tripped(g, capped);
   const auto fb = tripped.Answer(set);
   ASSERT_TRUE(fb.ok());
   EXPECT_EQ(fb->stats.bank_fallbacks, 1u);
   EXPECT_EQ(fb->stats.floods, 0u);
+  EXPECT_EQ(fb->stats.bank_bytes, 0u);
+  EXPECT_EQ(BankFallbackCount(), before + 1);
+
+  QueryEngineOptions raised = capped;
+  raised.max_bank_bytes = bank_bytes;
+  QueryEngine admitted(g, raised);
+  const auto got = admitted.Answer(set);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->stats.bank_fallbacks, 0u);
+  EXPECT_EQ(BankFallbackCount(), before + 1);
+  EXPECT_GT(got->stats.floods, 0u);
+  EXPECT_EQ(got->st_values, want->st_values);
+  EXPECT_EQ(got->stats.bank_bytes, bank_bytes);
 }
 
 TEST(QueryEngineTest, IndexAnswersMatchFloodPathBitwise) {

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 #include "sampling/bitlane.h"
@@ -40,6 +41,26 @@ UncertainGraph BridgeGraph() {
   EXPECT_TRUE(g.AddEdge(3, 5, 0.7).ok());
   return g;
 }
+
+UncertainGraph RandomGraph(uint64_t seed, NodeId n, double density,
+                           bool directed) {
+  UncertainGraph g = directed ? UncertainGraph::Directed(n)
+                              : UncertainGraph::Undirected(n);
+  Rng rng(seed);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = directed ? 0 : u + 1; v < n; ++v) {
+      if (u == v) continue;
+      if (rng.NextDouble() < density) {
+        EXPECT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.05, 0.95)).ok());
+      }
+    }
+  }
+  return g;
+}
+
+// Z = 150 exercises the Z % 64 != 0 tail (150 = 2*64 + 22) and leaves whole
+// pad words inside the 512-bit lane block.
+constexpr int kTailSamples = 150;
 
 std::vector<uint64_t> ToVec(std::span<const uint64_t> bits) {
   return std::vector<uint64_t>(bits.begin(), bits.end());
@@ -109,10 +130,31 @@ TEST(WorldBankTest, FloodBitsInvariantAcrossLaneModeAndThreads) {
   }
 }
 
+// Every bit past num_worlds — the tail of the last logical word and every
+// lane-block pad word — stays zero in every edge row; the fixpoint, the
+// index file's validation and every popcount rely on it.
+TEST(WorldBankTest, EdgeRowsKeepTailAndPadBitsClear) {
+  for (bool directed : {false, true}) {
+    const UncertainGraph g = RandomGraph(31, 24, 0.25, directed);
+    const WorldBank bank(g, {.num_samples = kTailSamples, .seed = 13});
+    ASSERT_EQ(bank.num_edges(), g.num_edges());
+    for (size_t e = 0; e < g.num_edges(); ++e) {
+      const uint64_t* const row =
+          bank.EdgeUpWorlds(static_cast<EdgeId>(e)).data();
+      EXPECT_EQ(row[bank.world_words() - 1] >> (kTailSamples & 63), 0u)
+          << "edge " << e;
+      for (size_t w = bank.world_words(); w < bitlane::kLaneWords; ++w) {
+        EXPECT_EQ(row[w], 0u) << "edge " << e << " pad word " << w;
+      }
+    }
+  }
+}
+
 // Frontier regression: a converged scratch re-run under kSeedsAreFacts must
 // touch its seeded blocks once and propagate nothing.
 TEST(WorldBankTest, ConvergedStateNeedsZeroExtraPropagation) {
-  for (const UncertainGraph& g : {DiamondGraph(), BridgeGraph()}) {
+  for (const UncertainGraph& g :
+       {DiamondGraph(), BridgeGraph(), RandomGraph(9, 18, 0.25, false)}) {
     WorldBank bank(g, {.num_samples = 500, .seed = 31, .num_threads = 1});
     const std::vector<EdgeId> active = bank.AllEdges();
     bitlane::BitMatrix reach;
@@ -208,6 +250,42 @@ TEST(WorldBankTest, ReachabilityFixpointMatchesPerWorldBfs) {
         EXPECT_EQ((reach.row(t)[w / 64] >> (w % 64)) & 1u,
                   BruteForceConnects(bank, g, w, 0, t, active) ? 1u : 0u)
             << "world " << w << " |active| = " << active.size();
+      }
+    }
+  }
+}
+
+// Random directed and undirected graphs at a tail-word Z, from several
+// sources, forward and backward, over every edge and over every other edge:
+// each world's flood bit must equal a BFS over that world's active up edges
+// (backward floods follow arcs in reverse, so they are checked as "v
+// reaches the source").
+TEST(WorldBankTest, RandomGraphFloodsMatchPerWorldBfs) {
+  for (bool directed : {false, true}) {
+    const UncertainGraph g = RandomGraph(47, 16, 0.2, directed);
+    const WorldBank bank(g, {.num_samples = kTailSamples, .seed = 5});
+    std::vector<EdgeId> half;
+    for (size_t e = 0; e < g.num_edges(); e += 2) {
+      half.push_back(static_cast<EdgeId>(e));
+    }
+    for (const std::vector<EdgeId>& active : {bank.AllEdges(), half}) {
+      for (NodeId source : {NodeId{0}, NodeId{7}, NodeId{15}}) {
+        for (bool backward : {false, true}) {
+          bitlane::BitMatrix reach;
+          bank.ReachabilityFixpoint(source, backward, active, &reach);
+          for (NodeId v = 0; v < g.num_nodes(); ++v) {
+            for (int w = 0; w < bank.num_worlds(); ++w) {
+              const bool want =
+                  backward ? BruteForceConnects(bank, g, w, v, source, active)
+                           : BruteForceConnects(bank, g, w, source, v, active);
+              ASSERT_EQ((reach.row(v)[w / 64] >> (w % 64)) & 1u,
+                        want ? 1u : 0u)
+                  << (directed ? "directed" : "undirected") << " source "
+                  << source << " v " << v << " world " << w << " backward "
+                  << backward << " |active| " << active.size();
+            }
+          }
+        }
       }
     }
   }

@@ -25,9 +25,8 @@
 // `index save` builds and writes it, `index load` validates and loads it, and
 // `batch --index-file` loads it when present (O(file size), no sampling) or
 // builds and saves it when missing, printing an `index_io:` stats line.
-// Bank-backed commands accept --partitions N (default 1): >1 edge-cut
-// partitions the graph and shards the bank's bit-matrix, turning the bank
-// byte cap into a per-shard budget. Results are bit-identical for any value.
+// Malformed numeric or boolean flag values (--threads abc, --samples 12x,
+// --index=ture) name the flag and exit 2 instead of running with a guess.
 // `serve` holds the graph (and warm bank / loaded index) resident and answers
 // a line protocol on stdin (or a loopback TCP port with --port; 0 picks an
 // ephemeral one): micro-batched queries, non-blocking edge updates via epoch
@@ -58,7 +57,7 @@
 #include "sampling/reliability.h"
 #include "serve/server.h"
 #include "sampling/rss.h"
-#include "sampling/world_view.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace {
@@ -104,29 +103,6 @@ StatusOr<Estimator> ParseEstimator(const Flags& flags) {
   return Status::InvalidArgument("unknown --estimator (want mc|rss): " + name);
 }
 
-// --partitions must be a positive shard count; 0 or negative is a flag error,
-// not a silent fallback to flat.
-StatusOr<int> ParsePartitions(const Flags& flags) {
-  const int partitions = static_cast<int>(flags.GetInt("partitions", 1));
-  if (partitions <= 0) {
-    return Status::InvalidArgument("--partitions must be >= 1");
-  }
-  return partitions;
-}
-
-// Warns (once per process) when the user asked for more shards than the graph
-// has nodes — the partitioner clamps, so the run proceeds, but the extra
-// shards the user asked for do not exist.
-void WarnIfPartitionsExceedNodes(int partitions, const UncertainGraph& g) {
-  static bool warned = false;
-  if (warned || partitions <= static_cast<int>(g.num_nodes())) return;
-  warned = true;
-  std::fprintf(stderr,
-               "relmax: --partitions %d exceeds the graph's %u nodes; "
-               "clamping to %u shards\n",
-               partitions, g.num_nodes(), g.num_nodes());
-}
-
 StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   SolverOptions options;
   options.budget_k = static_cast<int>(flags.GetInt("k", 10));
@@ -140,9 +116,6 @@ StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
-  auto partitions = ParsePartitions(flags);
-  RELMAX_RETURN_IF_ERROR(partitions.status());
-  options.num_partitions = *partitions;
   auto estimator = ParseEstimator(flags);
   RELMAX_RETURN_IF_ERROR(estimator.status());
   options.estimator = *estimator;
@@ -202,11 +175,6 @@ int CmdEstimate(const Flags& flags) {
   const int samples = static_cast<int>(flags.GetInt("samples", 2000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
-  // estimate never builds a bank, but the --partitions contract (reject <= 0)
-  // holds on every command that admits the flag.
-  const auto partitions = ParsePartitions(flags);
-  if (!partitions.ok()) return Fail(partitions.status().ToString());
-  WarnIfPartitionsExceedNodes(*partitions, *graph);
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   WallTimer timer;
@@ -233,7 +201,6 @@ int CmdSolve(const Flags& flags) {
   const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
-  WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
   const std::string method_name = flags.GetString("method", "be");
   CoreMethod method;
   if (method_name == "be") {
@@ -285,7 +252,6 @@ int CmdMulti(const Flags& flags) {
   }
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
-  WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
   WallTimer timer;
   auto solution = MaximizeMultiReliability(*graph, sources, targets,
                                            aggregate, *options);
@@ -313,7 +279,6 @@ int CmdBudget(const Flags& flags) {
   budget.max_edge_prob = flags.GetDouble("max-edge-prob", 0.95);
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
-  WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
   auto solution = MaximizeReliabilityWithProbabilityBudget(
       *graph, s, t, budget, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
@@ -329,16 +294,13 @@ int CmdBudget(const Flags& flags) {
   return 0;
 }
 
-// The WorldViewOptions an index file is keyed on, from the same flags batch
+// The bank options an index file is keyed on, from the same flags batch
 // uses, so `index save` / `index load` / `batch --index-file` agree.
-StatusOr<WorldViewOptions> WorldOptionsFromFlags(const Flags& flags) {
-  WorldViewOptions options;
+WorldBank::Options WorldOptionsFromFlags(const Flags& flags) {
+  WorldBank::Options options;
   options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  const auto partitions = ParsePartitions(flags);
-  RELMAX_RETURN_IF_ERROR(partitions.status());
-  options.num_partitions = *partitions;
   return options;
 }
 
@@ -349,26 +311,24 @@ int CmdIndexSave(const Flags& flags) {
   if (!graph.ok()) return Fail(graph.status().ToString());
   const std::string path = flags.GetString("index-file", "");
   if (path.empty()) return Fail("index save requires --index-file FILE");
-  const auto world_options = WorldOptionsFromFlags(flags);
-  if (!world_options.ok()) return Fail(world_options.status().ToString());
-  WarnIfPartitionsExceedNodes(world_options->num_partitions, *graph);
+  const WorldBank::Options world_options = WorldOptionsFromFlags(flags);
   ReliabilityIndex::Options index_options;
-  index_options.num_threads = world_options->num_threads;
-  if (!ReliabilityIndex::Fits(*graph, world_options->num_samples,
+  index_options.num_threads = world_options.num_threads;
+  if (!ReliabilityIndex::Fits(*graph, world_options.num_samples,
                               index_options)) {
     return Fail("index save: label planes exceed the index byte cap");
   }
   WallTimer timer;
-  const std::unique_ptr<WorldView> bank = MakeWorldView(*graph, *world_options);
-  ReliabilityIndex index(*bank, index_options);
-  const auto saved = SaveIndex(*bank, index, *world_options,
+  const WorldBank bank(*graph, world_options);
+  ReliabilityIndex index(bank, index_options);
+  const auto saved = SaveIndex(bank, index, world_options,
                                /*generation=*/1, path);
   if (!saved.ok()) return Fail(saved.status().ToString());
   std::printf(
       "saved %s: generation 1, %zu bytes (%d worlds, %d label bits, "
-      "%zu label bytes, %d shards, %.3f s)\n",
+      "%zu label bytes, %.3f s)\n",
       path.c_str(), *saved, index.num_worlds(), index.label_bits(),
-      index.label_bytes(), bank->num_shards(), timer.ElapsedSeconds());
+      index.label_bytes(), timer.ElapsedSeconds());
   return 0;
 }
 
@@ -379,21 +339,19 @@ int CmdIndexLoad(const Flags& flags) {
   if (!graph.ok()) return Fail(graph.status().ToString());
   const std::string path = flags.GetString("index-file", "");
   if (path.empty()) return Fail("index load requires --index-file FILE");
-  const auto world_options = WorldOptionsFromFlags(flags);
-  if (!world_options.ok()) return Fail(world_options.status().ToString());
-  WarnIfPartitionsExceedNodes(world_options->num_partitions, *graph);
+  const WorldBank::Options world_options = WorldOptionsFromFlags(flags);
   ReliabilityIndex::Options index_options;
-  index_options.num_threads = world_options->num_threads;
+  index_options.num_threads = world_options.num_threads;
   WallTimer timer;
-  auto loaded = LoadIndex(path, *graph, *world_options, index_options);
+  auto loaded = LoadIndex(path, *graph, world_options, index_options);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   std::printf(
       "loaded %s: generation %llu, %zu bytes (%d worlds, %d label bits, "
-      "%zu label bytes, %d shards, %.3f s)\n",
+      "%zu label bytes, %.3f s)\n",
       path.c_str(), static_cast<unsigned long long>(loaded->generation),
       loaded->file_bytes, loaded->index->num_worlds(),
       loaded->index->label_bits(), loaded->index->label_bytes(),
-      loaded->bank->num_shards(), timer.ElapsedSeconds());
+      timer.ElapsedSeconds());
   return 0;
 }
 
@@ -414,10 +372,6 @@ int CmdBatch(const Flags& flags) {
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.use_index = flags.GetBool("index", false);
   options.index_file = flags.GetString("index-file", "");
-  const auto partitions = ParsePartitions(flags);
-  if (!partitions.ok()) return Fail(partitions.status().ToString());
-  options.num_partitions = *partitions;
-  WarnIfPartitionsExceedNodes(options.num_partitions, *graph);
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   options.estimator = *estimator;
@@ -429,22 +383,15 @@ int CmdBatch(const Flags& flags) {
   for (size_t i = 0; i < st.size(); ++i) {
     std::printf("R(%u, %u) = %.4f\n", st[i].s, st[i].t, result->st_values[i]);
   }
-  // Per-shard logical bank bytes: one entry for the flat bank, P entries for
-  // a sharded one, `[]` when the batch never built a bank (fallback path).
-  std::string shard_bytes = "[";
-  for (size_t i = 0; i < result->stats.shard_bank_bytes.size(); ++i) {
-    if (i > 0) shard_bytes += " ";
-    shard_bytes += std::to_string(result->stats.shard_bank_bytes[i]);
-  }
-  shard_bytes += "]";
+  // Logical bank bytes; 0 when the batch never built a bank (fallback path).
   std::printf(
       "batch: %zu queries, %zu distinct pairs, %zu floods, "
       "%zu fallback estimates, %zu index answers, "
-      "%zu cache hits (%d samples, shard bank bytes %s, %.3f s)\n",
+      "%zu cache hits (%d samples, bank bytes %zu, %.3f s)\n",
       result->stats.num_queries, result->stats.distinct_pairs,
       result->stats.floods, result->stats.fallback_estimates,
       result->stats.index_answers, result->stats.cache_hits,
-      options.num_samples, shard_bytes.c_str(), timer.ElapsedSeconds());
+      options.num_samples, result->stats.bank_bytes, timer.ElapsedSeconds());
   if (const ReliabilityIndex* index = engine.index()) {
     const ReliabilityIndex::Stats& istats = index->stats();
     std::printf(
@@ -477,10 +424,6 @@ int CmdServe(const Flags& flags) {
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.engine.use_index = flags.GetBool("index", false);
   options.engine.index_file = flags.GetString("index-file", "");
-  const auto partitions = ParsePartitions(flags);
-  if (!partitions.ok()) return Fail(partitions.status().ToString());
-  options.engine.num_partitions = *partitions;
-  WarnIfPartitionsExceedNodes(options.engine.num_partitions, *graph);
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   options.engine.estimator = *estimator;
