@@ -105,9 +105,9 @@ SizeResult RunSize(const UncertainGraph& g, int num_sources, int num_targets,
 void Run(const Flags& flags) {
   const std::string dataset_name = flags.GetString("dataset", "as_topology");
   const double scale = flags.GetDouble("scale", 0.1);
-  const int num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const int num_samples = flags.GetInt32("samples", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int max_queries = static_cast<int>(flags.GetInt("max-queries", 256));
+  const int max_queries = flags.GetInt32("max-queries", 256);
   const std::string json_path = flags.GetString("json", "");
 
   auto dataset = MakeDataset(dataset_name, scale, seed);

@@ -106,9 +106,9 @@ IoResult RunIo(const UncertainGraph& g, int num_samples, uint64_t seed,
 void Run(const Flags& flags) {
   const std::string dataset_name = flags.GetString("dataset", "lastfm");
   const double scale = flags.GetDouble("scale", 0.1);
-  const int num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const int num_samples = flags.GetInt32("samples", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int load_reps = static_cast<int>(flags.GetInt("load-reps", 16));
+  const int load_reps = flags.GetInt32("load-reps", 16);
   const std::string path =
       flags.GetString("index-file", "/tmp/bench_index_io.rmx");
   const std::string json_path = flags.GetString("json", "");

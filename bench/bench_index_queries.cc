@@ -139,11 +139,11 @@ SizeResult RunSize(const UncertainGraph& g, int num_pairs, int num_samples,
 void Run(const Flags& flags) {
   const std::string dataset_name = flags.GetString("dataset", "lastfm");
   const double scale = flags.GetDouble("scale", 0.1);
-  const int num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const int num_samples = flags.GetInt32("samples", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int max_pairs = static_cast<int>(flags.GetInt("max-pairs", 256));
-  const int naive_pairs = static_cast<int>(flags.GetInt("naive-pairs", 8));
-  const int index_reps = static_cast<int>(flags.GetInt("index-reps", 32));
+  const int max_pairs = flags.GetInt32("max-pairs", 256);
+  const int naive_pairs = flags.GetInt32("naive-pairs", 8);
+  const int index_reps = flags.GetInt32("index-reps", 32);
   const std::string json_path = flags.GetString("json", "");
 
   auto dataset = MakeDataset(dataset_name, scale, seed);

@@ -192,13 +192,13 @@ ConfigResult RunConfig(const std::string& name, const UncertainGraph& g,
 void Run(const Flags& flags) {
   const std::string dataset_name = flags.GetString("dataset", "as_topology");
   const double scale = flags.GetDouble("scale", 0.1);
-  const int num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const int num_samples = flags.GetInt32("samples", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int num_queries = static_cast<int>(flags.GetInt("queries", 2000));
+  const int num_queries = flags.GetInt32("queries", 2000);
   const double qps = flags.GetDouble("qps", 2000.0);
   const double theta = flags.GetDouble("theta", 0.8);
-  const int window_us = static_cast<int>(flags.GetInt("window-us", 2000));
-  const int lanes = static_cast<int>(flags.GetInt("lanes", 1));
+  const int window_us = flags.GetInt32("window-us", 2000);
+  const int lanes = flags.GetInt32("lanes", 1);
   const std::string json_path = flags.GetString("json", "");
 
   auto dataset = MakeDataset(dataset_name, scale, seed);

@@ -58,20 +58,20 @@ std::string EnvironmentJson(const std::string& benchmark_library,
 BenchConfig BenchConfig::FromFlags(const Flags& flags) {
   BenchConfig config;
   config.scale = flags.GetDouble("scale", config.scale);
-  config.queries = static_cast<int>(flags.GetInt("queries", config.queries));
-  config.k = static_cast<int>(flags.GetInt("k", config.k));
+  config.queries = flags.GetInt32("queries", config.queries);
+  config.k = flags.GetInt32("k", config.k);
   config.zeta = flags.GetDouble("zeta", config.zeta);
-  config.r = static_cast<int>(flags.GetInt("r", config.r));
-  config.l = static_cast<int>(flags.GetInt("l", config.l));
-  config.h = static_cast<int>(flags.GetInt("h", config.h));
-  config.samples = static_cast<int>(flags.GetInt("samples", config.samples));
+  config.r = flags.GetInt32("r", config.r);
+  config.l = flags.GetInt32("l", config.l);
+  config.h = flags.GetInt32("h", config.h);
+  config.samples = flags.GetInt32("samples", config.samples);
   config.elim_samples =
-      static_cast<int>(flags.GetInt("elim-samples", config.elim_samples));
+      flags.GetInt32("elim-samples", config.elim_samples);
   config.gain_samples =
-      static_cast<int>(flags.GetInt("gain-samples", config.gain_samples));
+      flags.GetInt32("gain-samples", config.gain_samples);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.num_threads =
-      static_cast<int>(flags.GetInt("threads", config.num_threads));
+      flags.GetInt32("threads", config.num_threads);
   config.reuse_worlds = flags.GetBool("reuse-worlds", config.reuse_worlds);
   config.print_env = flags.GetBool("print-env", config.print_env);
   return config;

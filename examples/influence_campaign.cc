@@ -15,7 +15,7 @@ using namespace relmax;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const int k = static_cast<int>(flags.GetInt("k", 8));
+  const int k = flags.GetInt32("k", 8);
   const double scale = flags.GetDouble("scale", 0.05);
 
   auto dblp = MakeDataset("dblp", scale, /*seed=*/11);

@@ -17,8 +17,8 @@ using namespace relmax;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const int k = static_cast<int>(flags.GetInt("k", 4));
-  const int grid = static_cast<int>(flags.GetInt("grid", 12));
+  const int k = flags.GetInt32("k", 4);
+  const int grid = flags.GetInt32("grid", 12);
 
   // Build a grid road network; congestion-prone arterials in the middle.
   const NodeId n = static_cast<NodeId>(grid * grid);

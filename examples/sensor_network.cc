@@ -13,7 +13,7 @@ using namespace relmax;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const int budget = static_cast<int>(flags.GetInt("budget", 3));
+  const int budget = flags.GetInt32("budget", 3);
   const double max_dist = flags.GetDouble("max-dist", 15.0);
 
   auto lab = MakeDataset("intel_lab");

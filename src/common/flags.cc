@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace relmax {
 namespace {
@@ -88,6 +89,15 @@ int64_t Flags::GetInt(const std::string& name, int64_t def) const {
     BadValue(name, *v, "an integer");
   }
   return value;
+}
+
+int Flags::GetInt32(const std::string& name, int def) const {
+  const int64_t value = GetInt(name, def);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    BadValue(name, *Lookup(name), "an integer in int range");
+  }
+  return static_cast<int>(value);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {

@@ -27,6 +27,9 @@ class Flags {
 
   /// Integer flag with default; must parse whole as a base-10 int64.
   int64_t GetInt(const std::string& name, int64_t def) const;
+  /// GetInt for int-typed settings: a value outside the int range is
+  /// rejected like any malformed value instead of being narrowed.
+  int GetInt32(const std::string& name, int def) const;
   /// Floating-point flag with default; must parse whole as a finite double.
   double GetDouble(const std::string& name, double def) const;
   /// String flag with default.

@@ -260,54 +260,31 @@ std::vector<uint64_t> ReliabilityIndex::EqualLabelWorlds(NodeId s,
   return eq;
 }
 
-const std::vector<uint64_t>& ReliabilityIndex::SourceReach(NodeId s) {
-  const auto it = reach_cache_.find(s);
-  if (it != reach_cache_.end()) return it->second;
-  bitlane::BitMatrix reach;
-  bank_->ReachabilityFixpoint(s, /*backward=*/false, all_edges_, &reach);
-  ++stats_.reach_floods;
-  std::vector<uint64_t> flat(static_cast<size_t>(num_nodes_) * world_words_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const uint64_t* const row = reach.row(v);
-    std::copy(row, row + world_words_,
-              flat.begin() + static_cast<size_t>(v) * world_words_);
-  }
-  // FIFO eviction under the byte cap. A row larger than the whole cap is
-  // still admitted (the caller holds a reference); it is evicted next time.
-  const size_t row_bytes = flat.size() * sizeof(uint64_t);
-  while (!reach_order_.empty() &&
-         (reach_cache_.size() + 1) * row_bytes > options_.max_reach_bytes) {
-    reach_cache_.erase(reach_order_.front());
-    reach_order_.pop_front();
-    ++stats_.reach_row_evictions;
-  }
-  const auto inserted = reach_cache_.emplace(s, std::move(flat));
-  reach_order_.push_back(s);
-  stats_.reach_rows_cached = reach_cache_.size();
-  return inserted.first->second;
+std::optional<double> ReliabilityIndex::LabelQuery(NodeId s, NodeId t) const {
+  RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
+  const int64_t worlds = WorldBank::CountBits(
+      EqualLabelWorlds(s, t), static_cast<size_t>(num_worlds_));
+  // Same SCC in every world ⇒ mutually reachable everywhere; anything less
+  // leaves one-way reachability the labels cannot see.
+  if (directed_ && worlds != num_worlds_) return std::nullopt;
+  return static_cast<double>(worlds) / num_worlds_;
 }
 
-size_t ReliabilityIndex::reach_cache_bytes() const {
-  return reach_cache_.size() * static_cast<size_t>(num_nodes_) *
-         world_words_ * sizeof(uint64_t);
-}
-
-std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
+std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
+                                                        NodeId t) const {
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
   std::vector<uint64_t> eq = EqualLabelWorlds(s, t);
-  if (!directed_) return eq;
-  // Same SCC in every world ⇒ mutually reachable everywhere: answer without
-  // any flood. (The flood would set exactly these bits too.)
-  if (WorldBank::CountBits(eq, static_cast<size_t>(num_worlds_)) ==
-      num_worlds_) {
-    return eq;
-  }
-  const std::vector<uint64_t>& rows = SourceReach(s);
-  const uint64_t* row = rows.data() + static_cast<size_t>(t) * world_words_;
+  const int64_t worlds =
+      WorldBank::CountBits(eq, static_cast<size_t>(num_worlds_));
+  if (!directed_ || worlds == num_worlds_) return eq;
+  // Residual one-way reachability: one uncached flood from s.
+  bitlane::BitMatrix reach;
+  bank_->ReachabilityFixpoint(s, /*backward=*/false, all_edges_, &reach);
+  const uint64_t* row = reach.row(t);
   return std::vector<uint64_t>(row, row + world_words_);
 }
 
-double ReliabilityIndex::Query(NodeId s, NodeId t) {
+double ReliabilityIndex::Query(NodeId s, NodeId t) const {
   return static_cast<double>(
              WorldBank::CountBits(ConnectedWorlds(s, t),
                                   static_cast<size_t>(num_worlds_))) /
@@ -353,16 +330,6 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   RELMAX_CHECK(affected.size() == world_words_);
   bank_ = &fresh;
   all_edges_ = fresh.AllEdges();
-  // Reach rows mix affected and unaffected worlds in one flood; rebuild them
-  // lazily rather than patching. The reach counters reset with the cache —
-  // they describe the cache since its last drop (see Stats) — so incremental
-  // stats stay comparable to a fresh build's instead of over-counting floods
-  // that served the pre-update bank.
-  reach_cache_.clear();
-  reach_order_.clear();
-  stats_.reach_rows_cached = 0;
-  stats_.reach_floods = 0;
-  stats_.reach_row_evictions = 0;
   const size_t worlds = static_cast<size_t>(
       WorldBank::CountBits(affected, static_cast<size_t>(num_worlds_)));
   ++stats_.incremental_updates;

@@ -2,10 +2,9 @@
 #define RELMAX_INDEX_RELIABILITY_INDEX_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
@@ -35,11 +34,11 @@ namespace relmax {
 /// **Directed:** per-world SCC condensation labels (iterative Tarjan per
 /// world), stored in the same bitplane layout. SCC equality gives the worlds
 /// where s and t are mutually reachable; when that covers every world the
-/// query is answered outright (R = 1). Residual one-way reachability comes
-/// from a lazily cached per-source reach row: the first query from source s
-/// runs one word-parallel flood over the bank and memoizes all n target rows,
-/// so subsequent queries from s are single-row popcounts. Rows are evicted
-/// FIFO under `Options::max_reach_bytes`.
+/// query is answered outright (R = 1). Residual one-way reachability needs a
+/// word-parallel flood from s over the bank. The index keeps no flood state:
+/// LabelQuery() reports such a pair as unresolved so the caller can flood
+/// once per distinct source across a whole batch (WorldState does), and
+/// Query()/ConnectedWorlds() flood on the spot.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
 /// bank, bit for bit — components/SCCs and floods are exact per world, so the
@@ -58,9 +57,8 @@ namespace relmax {
 /// (shard i owns bit-word i of every plane), and per-world labeling is
 /// canonical (components numbered by first appearance in node order), so the
 /// whole index is a pure function of the bank bits — bit-identical for any
-/// num_threads. Queries never depend on cache state: eviction changes which
-/// floods re-run, never their results.
-///
+/// num_threads. Every query method is const and reads only the labels and
+/// the bank, so any number of threads may query one index at once.
 class ReliabilityIndex {
  public:
   struct Options {
@@ -68,21 +66,13 @@ class ReliabilityIndex {
     /// it, construction refuses (Fits() returns false) — callers keep the
     /// flood path instead.
     size_t max_label_bytes = size_t{128} << 20;
-    /// Cap on the directed lazy reach-row cache (n · Z bits per source).
-    /// Oldest sources are evicted first.
-    size_t max_reach_bytes = size_t{64} << 20;
     /// Lanes used while (re)labeling; <= 0 means all hardware threads. The
     /// stored bits do not depend on it.
     int num_threads = 1;
   };
 
-  /// Build/maintenance accounting. builds / incremental_updates /
-  /// worlds_relabeled / last_update_worlds are monotonic over the index
-  /// lifetime. The reach_* counters describe the directed lazy reach cache
-  /// **since it was last dropped**: ApplyBankUpdate clears the cache (its
-  /// rows mixed pre-update worlds) and resets all three, so after an
-  /// incremental update they match a fresh build's counters instead of
-  /// carrying floods that served the previous bank.
+  /// Build/maintenance accounting, monotonic over the index lifetime (a copy
+  /// carries the counts of the index it was copied from).
   struct Stats {
     /// Full builds (constructor).
     size_t builds = 0;
@@ -92,11 +82,6 @@ class ReliabilityIndex {
     size_t worlds_relabeled = 0;
     /// Worlds relabeled by the most recent ApplyBankUpdate.
     size_t last_update_worlds = 0;
-    /// Directed lazy floods actually run (one per uncached source).
-    size_t reach_floods = 0;
-    /// Directed reach rows currently cached / evicted so far.
-    size_t reach_rows_cached = 0;
-    size_t reach_row_evictions = 0;
   };
 
   /// Labels every world in `bank`. The bank (and its universe graph) must
@@ -123,21 +108,25 @@ class ReliabilityIndex {
   /// Label-plane bytes for (num_nodes, num_samples).
   static size_t LabelBytes(NodeId num_nodes, int num_samples);
 
-  /// R(s, t): fraction of worlds where t is reachable from s. Non-const
-  /// because directed queries may populate the lazy reach cache; answers are
-  /// independent of cache state.
-  double Query(NodeId s, NodeId t);
+  /// R(s, t): fraction of worlds where t is reachable from s. A directed
+  /// pair that LabelQuery() leaves unresolved costs one flood from s.
+  double Query(NodeId s, NodeId t) const;
+
+  /// R(s, t) from the label planes alone: set for an undirected graph and
+  /// for a directed pair sharing an SCC in every world (R = 1); empty for a
+  /// directed pair whose one-way reachability needs a flood from s.
+  std::optional<double> LabelQuery(NodeId s, NodeId t) const;
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
   /// w — bit-identical to ReachabilityFixpoint over the same bank.
-  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t);
+  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t) const;
 
   /// Relabels exactly the worlds set in `affected` (world-indexed bitset)
   /// against `fresh`, keeping every other world's labels. `fresh` must have
   /// the same num_worlds and universe num_nodes as the indexed bank (edges
-  /// may have been appended) and replaces it as the index's bank; the
-  /// directed reach cache is dropped. Pass DiffWorlds(old, fresh) to get the
-  /// exact mask.
+  /// may have been appended) and replaces it as the index's bank. Pass
+  /// DiffWorlds(old, fresh) to get the exact mask. To keep the old index
+  /// answering, apply the update to a copy.
   void ApplyBankUpdate(const WorldBank& fresh,
                        const std::vector<uint64_t>& affected);
 
@@ -157,8 +146,6 @@ class ReliabilityIndex {
   /// (v * label_bits() + b) * world_words) — what index_io serializes and
   /// FromSavedLabels restores.
   std::span<const uint64_t> label_words() const { return labels_; }
-  /// Bytes held by the directed reach-row cache right now.
-  size_t reach_cache_bytes() const;
   const Stats& stats() const { return stats_; }
 
  private:
@@ -170,9 +157,6 @@ class ReliabilityIndex {
   // Recomputes the label columns of every world set in `mask` from bank_.
   // Affected bits are cleared first; other worlds' bits are untouched.
   void RelabelWorlds(const std::vector<uint64_t>& mask);
-
-  // Flat reach rows (n · world_words words) for `s`, flooding on first use.
-  const std::vector<uint64_t>& SourceReach(NodeId s);
 
   // OR_b(plane_b(s) XOR plane_b(t)) complemented and tail-masked: the worlds
   // where s and t carry equal labels.
@@ -189,9 +173,6 @@ class ReliabilityIndex {
   // labels_[(v * label_bits_ + b) * world_words_].
   std::vector<uint64_t> labels_;
   std::vector<EdgeId> all_edges_;
-  // Directed lazy per-source reach rows: n rows of world_words_ words, flat.
-  std::unordered_map<NodeId, std::vector<uint64_t>> reach_cache_;
-  std::deque<NodeId> reach_order_;
   Stats stats_;
 };
 

@@ -52,13 +52,15 @@ struct QueryEngineOptions {
   /// graph mutation republish atomically (write-temp + rename) with the
   /// header's generation counter bumped.
   std::string index_file;
-  /// Footprint caps forwarded to the index (label planes, directed reach
-  /// cache). num_threads is overridden by the engine's own knob.
+  /// Footprint cap forwarded to the index (label planes). num_threads is
+  /// overridden by the engine's own knob.
   ReliabilityIndex::Options index;
   /// Remember per-pair answers across Answer() calls. Entries are keyed by
   /// the full determinism tuple — (graph version(), estimator, seed, Z,
   /// query); the first four are fixed per engine, so the cache stores
   /// (query -> value) and is dropped wholesale when the graph mutates.
+  /// Serve ignores this and max_cache_entries: its lanes share one
+  /// read-only WorldState per epoch and keep no result cache.
   bool cache_results = true;
   /// Entry cap for that cache: oldest first-inserted pairs are evicted once
   /// the cap is crossed, so a long-lived engine's memory stays bounded under
@@ -106,7 +108,8 @@ struct BatchStats {
   /// same graph version).
   size_t cache_hits = 0;
   /// Shared-world reachability floods actually run — one per distinct
-  /// source among the non-cached pairs.
+  /// source among the non-cached pairs (on the index path, among the
+  /// directed pairs the labels leave unresolved).
   size_t floods = 0;
   /// Pairs estimated independently on the per-query fallback path (shared
   /// worlds disabled or over the footprint cap). Previously misreported
@@ -118,7 +121,9 @@ struct BatchStats {
   /// increment also warns once on stderr; the process-wide total is
   /// BankFallbackCount().
   size_t bank_fallbacks = 0;
-  /// Pairs answered by the offline reliability index (no flood).
+  /// Pairs resolved on the index path: label-plane popcounts, plus the
+  /// directed pairs whose labels differ in some world, which flood once per
+  /// distinct source (those floods count under `floods`).
   size_t index_answers = 0;
   /// Result-cache entries evicted by this batch (max_cache_entries cap).
   size_t cache_evictions = 0;
@@ -140,6 +145,104 @@ struct BatchResult {
   BatchStats stats;
 };
 
+/// Per-pair answers memoized across QueryEngine::Answer() calls on one graph
+/// version: pair key -> reliability, first-inserted-first-evicted once
+/// `max_entries` is crossed.
+struct ResultCache {
+  size_t max_entries = 0;
+  std::unordered_map<uint64_t, double> values;
+  std::deque<uint64_t> order;
+};
+
+/// Everything one graph state answers from, built once and then read-only:
+/// the shared WorldBank sampled from the graph, the ReliabilityIndex
+/// labelled over it (when indexed), and the index-file mapping a loaded
+/// bank's rows point into. Which path answers — index, shared-world flood,
+/// or per-query fallback — is fixed at build from (graph, options).
+///
+/// QueryEngine keeps one for its graph's current version; serve builds one
+/// per published epoch and lets every lane answer from it at once, so both
+/// share this one build / update / resolve path and serve == batch holds by
+/// construction.
+class WorldState {
+ public:
+  /// Builds the state for `g`, which must outlive it and stay unmodified
+  /// while it answers. With an index file this loads the file when it
+  /// matches (no sampling or relabeling) and otherwise builds and saves it;
+  /// `io` records loads, saves and failures.
+  WorldState(const UncertainGraph& g, const QueryEngineOptions& options,
+             IndexIoStats* io);
+
+  /// Builds the state for `g`, a later version of `prev`'s graph. When
+  /// `prev` is indexed and `g` only extends its shape (same nodes, same
+  /// endpoints for every old edge, possibly new edges), the bank is
+  /// resampled — bit-identical to a fresh build, bank bits being a pure
+  /// function of (probs, Z, seed) — and a copy of `prev`'s index relabels
+  /// only the worlds whose edge presence changed (then republishes the
+  /// index file). Otherwise this is a fresh build. `prev` is only read, so it
+  /// keeps answering for its own graph.
+  WorldState(const WorldState& prev, const UncertainGraph& g,
+             const QueryEngineOptions& options, IndexIoStats* io);
+
+  WorldState(const WorldState&) = delete;
+  WorldState& operator=(const WorldState&) = delete;
+
+  /// Answers every query in `set`, which must already be validated against
+  /// the graph. Pairs in `cache` (when non-null) are hits, and newly
+  /// resolved pairs are inserted into it. With a null cache the call only
+  /// reads the state, so any number of threads may answer at once.
+  BatchResult Answer(const QuerySet& set, ResultCache* cache) const;
+
+  /// The reliability index, or nullptr when not indexed.
+  const ReliabilityIndex* index() const { return index_.get(); }
+
+ private:
+  // Samples the bank, and labels (or loads) the index when indexed.
+  void Build(IndexIoStats* io);
+
+  // Installs the bank and snapshots the graph shape it was sampled against.
+  void AdoptBank(std::unique_ptr<WorldBank> bank);
+
+  // Resolves `pairs` (deduplicated, non-cached) into `resolved` on the path
+  // fixed at build.
+  void Resolve(const std::vector<StQuery>& pairs,
+               std::unordered_map<uint64_t, double>* resolved,
+               BatchStats* stats) const;
+
+  // One shared-world flood per distinct source among `pairs`.
+  void Flood(const std::vector<StQuery>& pairs,
+             std::unordered_map<uint64_t, double>* resolved,
+             BatchStats* stats) const;
+
+  // Attempts to adopt bank + index from options_.index_file. NotFound is
+  // silent (the build path will save); any other failure warns on stderr
+  // and leaves the bank and index unset.
+  void TryLoadIndexFile(IndexIoStats* io);
+
+  // Publishes bank + index to options_.index_file (write-temp + rename)
+  // with the generation counter bumped. Failure warns on stderr only — the
+  // in-memory state stays fully functional.
+  void SaveIndexFile(IndexIoStats* io) const;
+
+  // The bank options every bank build / load / save keys on.
+  WorldBank::Options WorldOptions() const;
+
+  const UncertainGraph& graph_;
+  QueryEngineOptions options_;
+  // Declared before bank_/index_ so it is destroyed after them: a loaded
+  // bank's bit rows point into this read-only mapping (zero copy).
+  MappedFile index_mapping_;
+  std::unique_ptr<WorldBank> bank_;
+  std::unique_ptr<ReliabilityIndex> index_;
+  std::vector<EdgeId> all_edges_;
+  // Graph shape the bank was sampled against: node count plus the endpoints
+  // of every edge, in id order. Incremental maintenance requires a later
+  // graph to extend it (UpdateEdgeProb/AddEdge do; wholesale assignment
+  // usually does not).
+  NodeId sampled_nodes_ = 0;
+  std::vector<std::pair<NodeId, NodeId>> sampled_endpoints_;
+};
+
 /// Batch multi-query reliability engine: many queries against one uncertain
 /// graph, answered from one shared set of sampled worlds.
 ///
@@ -156,15 +259,16 @@ struct BatchResult {
 ///
 /// With `use_index` the engine goes one step further: it builds a
 /// ReliabilityIndex (per-world component/SCC labels) over the bank once, and
-/// every query becomes a popcount with no flood at all — bit-identical to
-/// the flood path by construction. See src/index/reliability_index.h.
+/// every query becomes a popcount — bit-identical to the flood path by
+/// construction. See src/index/reliability_index.h.
 ///
+/// The bank and index live in a WorldState built on the first Answer().
 /// Answers are memoized: a pair asked again while the graph's version() is
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)
-/// invalidates the cache on the next Answer(); a live index additionally
-/// attempts incremental maintenance — resample the bank, relabel only the
-/// worlds whose sampled edge presence actually changed — before falling back
-/// to a wholesale rebuild.
+/// drops the cache and rebuilds the WorldState from the previous one on the
+/// next Answer() — incrementally (resample the bank, relabel only the worlds
+/// whose sampled edge presence changed) when the index is live and the graph
+/// only grew or changed probabilities.
 ///
 /// The engine is not internally synchronized: Answer() mutates the cache,
 /// so concurrent callers must serialize (or use one engine per thread —
@@ -186,83 +290,24 @@ class QueryEngine {
   const QueryEngineOptions& options() const { return options_; }
 
   /// Pairs currently memoized (test/introspection hook).
-  size_t cache_size() const { return cache_.size(); }
+  size_t cache_size() const { return cache_.values.size(); }
 
   /// The live reliability index, or nullptr when disabled / not yet built /
   /// over its caps (test/CLI introspection hook).
-  const ReliabilityIndex* index() const { return index_.get(); }
+  const ReliabilityIndex* index() const {
+    return state_ != nullptr ? state_->index() : nullptr;
+  }
 
   /// Persistent-index accounting (zeroes when options.index_file is empty).
   const IndexIoStats& index_io_stats() const { return index_io_stats_; }
 
  private:
-  // Resyncs engine state after a graph mutation. The result cache always
-  // drops (answers depend on probabilities). With a live index whose graph
-  // shape is only extended (same nodes, same existing-edge endpoints), the
-  // bank is resampled — bit-identical to a fresh engine's, bank bits being a
-  // pure function of (probs, Z, seed) — and only the worlds whose edge
-  // presence changed are relabeled; otherwise bank and index drop wholesale.
-  void SyncWithGraph();
-
-  // Samples the shared WorldBank if absent and snapshots the graph shape it
-  // was built against.
-  void EnsureBank();
-
-  // True when the current graph is the indexed shape plus (possibly) new
-  // edges — the prerequisite for incremental index maintenance.
-  bool GraphExtendsIndexedShape() const;
-
-  // Resolves reliabilities for `pairs` (deduplicated (s, t) keys), filling
-  // `resolved` and `stats`. Runs floods / per-pair estimates as configured.
-  void ResolvePairs(const std::vector<StQuery>& pairs,
-                    std::unordered_map<uint64_t, double>* resolved,
-                    BatchStats* stats);
-
-  static uint64_t PairKey(NodeId s, NodeId t) {
-    return (static_cast<uint64_t>(s) << 32) | t;
-  }
-
-  // True when the shared-world path is active (MC estimator, reuse enabled,
-  // bank footprint under the cap).
-  bool UseSharedWorlds() const;
-
-  // True when queries should resolve through the reliability index (on top
-  // of UseSharedWorlds, the label planes must fit their cap). A non-empty
-  // options_.index_file implies use_index.
-  bool UseIndex() const;
-
-  // The bank options every bank build / load / save keys on.
-  WorldBank::Options WorldOptions() const;
-
-  // Attempts to adopt bank + index from options_.index_file. NotFound is
-  // silent (the build path will save); any other failure warns on stderr
-  // and leaves the engine to rebuild from scratch.
-  void TryLoadIndexFile();
-
-  // Republishes bank + index to options_.index_file (write-temp + rename)
-  // with the generation counter bumped. Failure warns on stderr only — the
-  // in-memory engine stays fully functional.
-  void SaveIndexFile();
-
   const UncertainGraph& graph_;
   QueryEngineOptions options_;
   uint64_t graph_version_;
-  // Declared before bank_/index_ so it is destroyed after them: a loaded
-  // bank's bit rows point into this read-only mapping (zero copy).
-  MappedFile index_mapping_;
-  std::unique_ptr<WorldBank> bank_;
-  std::unique_ptr<ReliabilityIndex> index_;
-  std::vector<EdgeId> all_edges_;
-  // Graph shape the bank was sampled against: node count plus the endpoints
-  // of every edge, in id order. Incremental maintenance requires the mutated
-  // graph to extend this shape (UpdateEdgeProb/AddEdge do; wholesale
-  // assignment usually does not).
-  NodeId indexed_nodes_ = 0;
-  std::vector<std::pair<NodeId, NodeId>> indexed_endpoints_;
-  // pair key -> reliability, valid for graph_version_ only, capped at
-  // options_.max_cache_entries with first-inserted-first-evicted order.
-  std::unordered_map<uint64_t, double> cache_;
-  std::deque<uint64_t> cache_order_;
+  // Built on the first Answer(); rebuilt from itself after a mutation.
+  std::unique_ptr<const WorldState> state_;
+  ResultCache cache_;
   IndexIoStats index_io_stats_;
 };
 

@@ -144,10 +144,7 @@ std::string StatsResponse(const ServeStats& stats) {
       << " epoch=" << stats.epoch << " version=" << stats.graph_version
       << " floods=" << stats.floods << " index_answers=" << stats.index_answers
       << " fallback_estimates=" << stats.fallback_estimates
-      << " cache_hits=" << stats.cache_hits
-      << " cache_entries=" << stats.cache_entries
-      << " cache_evictions_epoch=" << stats.cache_evictions_epoch
-      << " cache_evictions_total=" << stats.cache_evictions_total;
+      << " cache_hits=" << stats.cache_hits;
   return out.str();
 }
 

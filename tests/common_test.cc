@@ -227,6 +227,9 @@ TEST(FlagsTest, AcceptsWellFormedValues) {
   EXPECT_FALSE(OneFlag("--b=no").GetBool("b", true));
   EXPECT_FALSE(OneFlag("--b=0").GetBool("b", true));
   EXPECT_FALSE(OneFlag("--b=false").GetBool("b", true));
+  EXPECT_EQ(OneFlag("--n=2147483647").GetInt32("n", 0), 2147483647);
+  EXPECT_EQ(OneFlag("--n=-2147483648").GetInt32("n", 0), -2147483647 - 1);
+  EXPECT_EQ(OneFlag("--n=3").GetInt32("missing", 13), 13);
 }
 
 TEST(FlagsDeathTest, MalformedValuesExitTwoNamingTheFlag) {
@@ -246,6 +249,13 @@ TEST(FlagsDeathTest, MalformedValuesExitTwoNamingTheFlag) {
   EXPECT_EXIT(OneFlag("--x=").GetDouble("x", 0.0), exits, "'' for --x");
   EXPECT_EXIT(OneFlag("--b=ture").GetBool("b", false), exits,
               "'ture' for --b: want true\\|false");
+  // Valid int64 but not int: rejected, never wrapped.
+  EXPECT_EXIT(OneFlag("--n=2147483648").GetInt32("n", 0), exits,
+              "'2147483648' for --n: want an integer in int range");
+  EXPECT_EXIT(OneFlag("--n=-2147483649").GetInt32("n", 0), exits,
+              "'-2147483649' for --n: want an integer in int range");
+  EXPECT_EXIT(OneFlag("--n=abc").GetInt32("n", 0), exits,
+              "'abc' for --n: want an integer");
 }
 
 TEST(FlagsDeathTest, MalformedEnvironmentValueNamesTheVariable) {

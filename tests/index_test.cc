@@ -1,10 +1,11 @@
 // ReliabilityIndex: per-world component/SCC labels must reproduce the
-// word-parallel flood bit-for-bit (undirected and directed), incremental
-// maintenance must equal a full rebuild while touching only the affected
-// worlds, and the directed reach-row cache must evict without changing
-// answers.
+// word-parallel flood bit-for-bit (undirected and directed), label-only
+// answers must agree with the flood wherever they are given, and
+// incremental maintenance on a copy must equal a full rebuild while touching
+// only the affected worlds and leaving the original index untouched.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,6 +51,14 @@ TEST(ReliabilityIndexTest, ConnectedWorldsMatchFloodBitwise) {
       for (NodeId t = 0; t < g.num_nodes(); ++t) {
         EXPECT_EQ(index.ConnectedWorlds(s, t), FloodRow(bank, s, t))
             << "directed = " << directed << " (" << s << ", " << t << ")";
+        // Labels alone answer every undirected pair; a directed pair they
+        // leave open is exactly one whose flood differs from all-worlds.
+        if (const std::optional<double> r = index.LabelQuery(s, t)) {
+          EXPECT_EQ(*r, index.Query(s, t));
+        } else {
+          EXPECT_TRUE(directed);
+          EXPECT_LT(index.Query(s, t), 1.0);
+        }
       }
     }
   }
@@ -80,7 +89,7 @@ TEST(ReliabilityIndexTest, LabelsAreThreadInvariant) {
 
 TEST(ReliabilityIndexTest, StronglyConnectedWorldNeedsNoFlood) {
   // A certain 3-cycle is one SCC in every world: every pair answers from the
-  // label planes alone, so the lazy flood never runs.
+  // label planes alone, with no flood.
   UncertainGraph g = UncertainGraph::Directed(3);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 1.0).ok());
@@ -89,10 +98,11 @@ TEST(ReliabilityIndexTest, StronglyConnectedWorldNeedsNoFlood) {
   ReliabilityIndex index(bank, {});
   for (NodeId s = 0; s < 3; ++s) {
     for (NodeId t = 0; t < 3; ++t) {
+      ASSERT_TRUE(index.LabelQuery(s, t).has_value());
+      EXPECT_DOUBLE_EQ(*index.LabelQuery(s, t), 1.0);
       EXPECT_DOUBLE_EQ(index.Query(s, t), 1.0);
     }
   }
-  EXPECT_EQ(index.stats().reach_floods, 0u);
 }
 
 TEST(ReliabilityIndexTest, DiffWorldsFindsExactlyTheChangedWorlds) {
@@ -172,56 +182,38 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateHandlesAppendedEdges) {
   }
 }
 
-// Regression: ApplyBankUpdate drops the directed reach cache (its rows mixed
-// pre-update worlds), so the reach_* counters must reset with it. They used
-// to carry over, making an incremental engine report floods that served the
-// previous bank — over-counted relative to a fresh build.
-TEST(ReliabilityIndexTest, ApplyBankUpdateResetsReachCacheStats) {
+// Incremental maintenance as serve and the query engine run it: update a
+// copy of the directed index against the fresh bank. The copy must answer
+// exactly like a fresh build over that bank, and the original must keep
+// answering for the old bank.
+TEST(ReliabilityIndexTest, ApplyBankUpdateOnCopyEqualsFreshBuild) {
   UncertainGraph g = RandomGraph(139, 10, 0.3, true);
   const WorldBank before(g, {.num_samples = 256, .seed = 29});
-  ReliabilityIndex incremental(before, {});
-  // Populate the reach cache from several sources pre-update.
-  for (NodeId s = 0; s < 5; ++s) incremental.Query(s, g.num_nodes() - 1);
-  ASSERT_GT(incremental.stats().reach_floods, 0u);
+  const ReliabilityIndex original(before, {});
+  std::vector<std::vector<uint64_t>> old_rows;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    old_rows.push_back(original.ConnectedWorlds(s, g.num_nodes() - 1));
+  }
 
   const Edge edge = g.EdgesById()[0];
   ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.7).ok());
   const WorldBank after(g, {.num_samples = 256, .seed = 29});
+  ReliabilityIndex incremental = original;
   incremental.ApplyBankUpdate(after,
                               ReliabilityIndex::DiffWorlds(before, after));
-  EXPECT_EQ(incremental.stats().reach_floods, 0u);
-  EXPECT_EQ(incremental.stats().reach_rows_cached, 0u);
-  EXPECT_EQ(incremental.stats().reach_row_evictions, 0u);
-  EXPECT_EQ(incremental.reach_cache_bytes(), 0u);
 
-  // After identical query traffic, the incremental index's reach counters
-  // match a fresh build's exactly — stats describe the current bank only.
-  ReliabilityIndex rebuilt(after, {});
-  for (NodeId s = 0; s < 5; ++s) {
-    EXPECT_EQ(incremental.Query(s, g.num_nodes() - 1),
-              rebuilt.Query(s, g.num_nodes() - 1));
-  }
-  EXPECT_EQ(incremental.stats().reach_floods, rebuilt.stats().reach_floods);
-  EXPECT_EQ(incremental.stats().reach_rows_cached,
-            rebuilt.stats().reach_rows_cached);
-}
-
-TEST(ReliabilityIndexTest, ReachRowCacheEvictsWithoutChangingAnswers) {
-  const UncertainGraph g = RandomGraph(131, 12, 0.25, true);
-  const WorldBank bank(g, {.num_samples = 128, .seed = 19});
-  // Cap the cache at roughly two reach rows (n rows × 2 words × 8 bytes
-  // each), so sweeping all sources must evict.
-  ReliabilityIndex::Options options;
-  options.max_reach_bytes = static_cast<size_t>(g.num_nodes()) * 2 * 8 * 2;
-  ReliabilityIndex index(bank, options);
+  const ReliabilityIndex rebuilt(after, {});
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      EXPECT_EQ(index.ConnectedWorlds(s, t), FloodRow(bank, s, t))
+      EXPECT_EQ(incremental.ConnectedWorlds(s, t),
+                rebuilt.ConnectedWorlds(s, t))
           << "(" << s << ", " << t << ")";
+      EXPECT_EQ(incremental.Query(s, t), rebuilt.Query(s, t));
     }
+    EXPECT_EQ(original.ConnectedWorlds(s, g.num_nodes() - 1), old_rows[s]);
   }
-  EXPECT_GT(index.stats().reach_row_evictions, 0u);
-  EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
+  EXPECT_EQ(original.stats().incremental_updates, 0u);
+  EXPECT_EQ(incremental.stats().incremental_updates, 1u);
 }
 
 TEST(ReliabilityIndexTest, FitsAndFootprint) {

@@ -293,7 +293,8 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
   // shared-flood run digit for digit. 4 nodes -> 2 label bits; 20000 worlds
   // -> 313 words -> 4 * 2 * 313 * 8 = 20032 label bytes; the build labels
   // all 20000 worlds; the acyclic Example-3 graph has singleton SCCs, so
-  // each of the 3 distinct sources needs one lazy reach flood.
+  // every pair is a directed residual that floods once per distinct source
+  // (2, 0, 1) — the same 3 floods as the shared-world path.
   const std::string indexed = NormalizeTimings(RunCli(
       "batch --graph " + graph + " --queries " + queries +
       " --samples 20000 --seed 5 --index --threads " + threads));
@@ -303,11 +304,11 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "R(0, 3) = 0.0000\n"
             "R(2, 3) = 0.3004\n"
             "R(1, 3) = 0.0000\n"
-            "batch: 5 queries, 4 distinct pairs, 0 floods, "
+            "batch: 5 queries, 4 distinct pairs, 3 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
-            "20000 worlds relabeled, 3 reach floods\n");
+            "20000 worlds relabeled\n");
 
   // Per-query fallback: one estimate per distinct pair. R(2, 3) must match
   // the `estimate` golden above exactly — the fallback IS that code path.
@@ -355,11 +356,11 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "R(0, 3) = 0.0000\n"
             "R(2, 3) = 0.3004\n"
             "R(1, 3) = 0.0000\n"
-            "batch: 5 queries, 4 distinct pairs, 0 floods, "
+            "batch: 5 queries, 4 distinct pairs, 3 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
-            "20000 worlds relabeled, 3 reach floods\n"
+            "20000 worlds relabeled\n"
             "index_io: 0 loads, 1 saves, 0 load failures, "
             "generation 1, 105384 file bytes\n");
 
@@ -386,11 +387,11 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "R(0, 3) = 0.0000\n"
             "R(2, 3) = 0.3004\n"
             "R(1, 3) = 0.0000\n"
-            "batch: 5 queries, 4 distinct pairs, 0 floods, "
+            "batch: 5 queries, 4 distinct pairs, 3 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, bank bytes 5008, <t> s)\n"
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
-            "0 worlds relabeled, 3 reach floods\n"
+            "0 worlds relabeled\n"
             "index_io: 1 loads, 0 saves, 0 load failures, "
             "generation 1, 105384 file bytes\n");
 
@@ -461,6 +462,43 @@ TEST(GoldenCliFlagErrors, MalformedValuesExitTwo) {
                   "estimate: invalid value 'two' for --threads (from "
                   "RELMAX_THREADS): want an integer\n",
                   "RELMAX_THREADS=two ");
+  // Valid int64 values beyond int must not be narrowed: 2^32 would wrap to
+  // 0 samples, and 2^32 + 1 to a silent 1 sample on 1 thread.
+  expect_rejected(estimate + " --samples 4294967296",
+                  "estimate: invalid value '4294967296' for --samples: want "
+                  "an integer in int range\n");
+  expect_rejected(estimate + " --samples 4294967297 --threads 4294967297",
+                  "estimate: invalid value '4294967297' for --samples: want "
+                  "an integer in int range\n");
+}
+
+// Malformed --sources / --targets node lists fail with exit 1 and a message
+// naming the bad field, never an uncaught exception or a guessed id.
+TEST(GoldenCliFlagErrors, MalformedNodeListsFailNamingTheField) {
+  const std::string graph = WriteExample3Graph();
+  const auto expect_failed = [&](const std::string& lists,
+                                 const std::string& want) {
+    int exit_code = -1;
+    const std::string out =
+        RunCliWithExit("multi --graph " + graph + " " + lists, &exit_code);
+    EXPECT_EQ(exit_code, 1) << lists << "\n" << out;
+    EXPECT_EQ(out, want) << lists;
+  };
+  const std::string tail =
+      "' (want a comma-separated list of non-negative integers)\n";
+  expect_failed("--sources 1,x --targets 3",
+                "relmax: InvalidArgument: --sources: bad node id 'x" + tail);
+  expect_failed("--sources 1,,2 --targets 3",
+                "relmax: InvalidArgument: --sources: bad node id '" + tail);
+  expect_failed("--sources 1, --targets 3",
+                "relmax: InvalidArgument: --sources: bad node id '" + tail);
+  expect_failed("--sources 1 --targets 3x",
+                "relmax: InvalidArgument: --targets: bad node id '3x" + tail);
+  expect_failed("--sources 1 --targets -3",
+                "relmax: InvalidArgument: --targets: bad node id '-3" + tail);
+  expect_failed(
+      "--sources 4294967296 --targets 3",
+      "relmax: InvalidArgument: --sources: bad node id '4294967296" + tail);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Online query daemon: protocol parsing, scripted-stream answers pinned
 // bit-identical to the batch engine, response ordering, typed shed /
 // rejection, epoch-snapshot semantics under a concurrent writer (readers on
-// epoch N never see N+1), the eviction-stat reset across epoch swaps, and
-// socket serving with a clean shutdown. Carries the `sanitize` CTest label:
-// the snapshot/lane handoffs are exactly where instrumented builds earn
-// their keep.
+// epoch N never see N+1, across lane counts, flood and index paths, directed
+// and undirected graphs), and socket serving with a clean shutdown. Carries
+// the `sanitize` CTest label: the snapshot/lane handoffs are exactly where
+// instrumented builds earn their keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,9 +52,11 @@ UncertainGraph Example3() {
   return g;
 }
 
-UncertainGraph RandomGraph(uint64_t seed, NodeId n, double density) {
+UncertainGraph RandomGraph(uint64_t seed, NodeId n, double density,
+                           bool directed = true) {
   Rng rng(seed);
-  UncertainGraph g = UncertainGraph::Directed(n);
+  UncertainGraph g =
+      directed ? UncertainGraph::Directed(n) : UncertainGraph::Undirected(n);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u == v || g.HasEdge(u, v)) continue;
@@ -274,149 +276,142 @@ TEST(ServeCoreTest, UpdatePublishesEpochAndPinsInFlightQueries) {
   EXPECT_EQ(core.CurrentSnapshot()->epoch(), 1u);
 }
 
-// Satellite regression: the epoch-scoped result-cache stats reset on
-// publish (fresh replicas start with empty caches) while the lifetime total
-// keeps counting — and straggler stats from the old epoch are not charged
-// to the new one.
-TEST(ServeCoreTest, EvictionStatsResetAcrossEpochSwap) {
-  ServeOptions options;
-  options.engine.num_samples = 200;
-  options.engine.max_cache_entries = 2;
-  options.window_us = 0;
-  ServeCore core(Example3(), options);
-
-  // Four distinct pairs through a 2-entry FIFO cache: 2 evictions.
-  for (const auto& [s, t] : std::vector<std::pair<NodeId, NodeId>>{
-           {2, 3}, {2, 1}, {0, 3}, {1, 3}}) {
-    core.Submit(s, t, [](const StatusOr<double>& r, uint64_t) {
-      ASSERT_TRUE(r.ok());
-    });
-    core.Drain();  // one window per query: deterministic eviction count
-  }
-  ServeStats stats = core.Stats();
-  EXPECT_EQ(stats.cache_evictions_total, 2u);
-  EXPECT_EQ(stats.cache_evictions_epoch, 2u);
-  EXPECT_EQ(stats.cache_entries, 2u);
-
-  const auto epoch = core.UpdateEdgeProb(2, 3, 0.9);
-  ASSERT_TRUE(epoch.ok());
-  stats = core.Stats();
-  EXPECT_EQ(stats.cache_evictions_total, 2u);  // lifetime count survives
-  EXPECT_EQ(stats.cache_evictions_epoch, 0u);  // epoch-scoped count resets
-  EXPECT_EQ(stats.cache_entries, 0u);
-
-  core.Submit(2, 3, [](const StatusOr<double>& r, uint64_t) {
-    ASSERT_TRUE(r.ok());
-  });
-  core.Drain();
-  stats = core.Stats();
-  EXPECT_EQ(stats.cache_evictions_epoch, 0u);  // new cache, no pressure yet
-  EXPECT_EQ(stats.cache_entries, 1u);
-}
-
-// Satellite concurrency test: readers pinned on epoch N keep answering
-// bit-identically to a pre-computed epoch-N reference while a writer
-// publishes N+1, N+2, ... — snapshots are immutable, and through the core
-// every answer matches the reference for the epoch it reports.
+// Mutation under load: readers pinned on epoch N keep answering
+// bit-identically to a pre-computed epoch-N reference while a writer builds
+// and publishes N+1, N+2, ... from N's state — snapshots are immutable, and
+// through the core every answer matches a fresh batch engine at the epoch it
+// reports. Swept over lanes {1, 4} × {flood, index} × {directed,
+// undirected}; mutations mix probability updates and new edges, so the
+// writer takes the incremental relabel path for both.
 TEST(ServeCoreTest, SnapshotReadersAreImmuneToConcurrentWriter) {
-  const UncertainGraph g = RandomGraph(7, 20, 0.15);
-  QueryEngineOptions engine_options;
-  engine_options.num_samples = 300;
-  engine_options.seed = 5;
-
-  // Reference answers per epoch, computed serially up front on private
-  // copies that replay the same mutation sequence the writer will publish.
   const std::vector<StQuery> pairs = {{0, 5}, {3, 9}, {7, 2}, {14, 1}};
   const std::vector<Edge> mutations = {
       {0, 5, 0.99}, {3, 9, 0.99}, {7, 2, 0.99}, {14, 1, 0.99}};
   QuerySet set;
   for (const StQuery& q : pairs) set.AddSt(q.s, q.t);
-  std::vector<std::vector<double>> reference;  // [epoch][pair]
-  {
-    UncertainGraph replica = g;
-    for (size_t e = 0; e <= mutations.size(); ++e) {
-      QueryEngine engine(replica, engine_options);
-      const auto batch = engine.Answer(set);
-      ASSERT_TRUE(batch.ok());
-      reference.push_back(batch->st_values);
-      if (e < mutations.size()) {
-        const Edge& m = mutations[e];
-        ASSERT_TRUE((replica.HasEdge(m.src, m.dst)
-                         ? replica.UpdateEdgeProb(m.src, m.dst, m.prob)
-                         : replica.AddEdge(m.src, m.dst, m.prob))
-                        .ok());
-      }
-    }
-  }
 
-  ServeOptions options;
-  options.engine = engine_options;
-  options.window_us = 0;
-  ServeCore core(g, options);
+  for (const int lanes : {1, 4}) {
+    for (const bool use_index : {false, true}) {
+      for (const bool directed : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << "lanes=" << lanes << " index=" << use_index
+                     << " directed=" << directed);
+        const UncertainGraph g = RandomGraph(7, 20, 0.15, directed);
+        QueryEngineOptions engine_options;
+        engine_options.num_samples = 300;
+        engine_options.seed = 5;
+        engine_options.use_index = use_index;
 
-  // Readers pin the epoch-0 snapshot directly and hammer it with their own
-  // engines while the writer publishes every mutation: every answer must
-  // stay bit-identical to the epoch-0 reference.
-  const std::shared_ptr<const serve::GraphSnapshot> pinned =
-      core.CurrentSnapshot();
-  ASSERT_EQ(pinned->epoch(), 0u);
-  std::atomic<bool> go{false};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&] {
-      while (!go.load()) std::this_thread::yield();
-      for (int iter = 0; iter < 3; ++iter) {
-        QueryEngine engine(pinned->graph(), engine_options);
-        const auto batch = engine.Answer(set);
-        if (!batch.ok() || batch->st_values != reference[0]) {
-          failures.fetch_add(1);
-          return;
+        // Reference answers per epoch from fresh flood-path engines,
+        // computed serially up front on a private copy that applies the
+        // same mutation sequence the writer will publish.
+        QueryEngineOptions reference_options = engine_options;
+        reference_options.use_index = false;
+        std::vector<std::vector<double>> reference;  // [epoch][pair]
+        UncertainGraph replica = g;
+        for (size_t e = 0; e <= mutations.size(); ++e) {
+          QueryEngine engine(replica, reference_options);
+          const auto batch = engine.Answer(set);
+          ASSERT_TRUE(batch.ok());
+          reference.push_back(batch->st_values);
+          if (e < mutations.size()) {
+            const Edge& m = mutations[e];
+            ASSERT_TRUE((replica.HasEdge(m.src, m.dst)
+                             ? replica.UpdateEdgeProb(m.src, m.dst, m.prob)
+                             : replica.AddEdge(m.src, m.dst, m.prob))
+                            .ok());
+          }
         }
+
+        ServeOptions options;
+        options.engine = engine_options;
+        options.window_us = 0;
+        options.lanes = lanes;
+        ServeCore core(g, options);
+
+        // Readers pin the epoch-0 snapshot directly and hammer it — through
+        // its shared state and through their own engines — while the writer
+        // builds every later epoch from it: every answer must stay
+        // bit-identical to the epoch-0 reference.
+        const std::shared_ptr<const serve::GraphSnapshot> pinned =
+            core.CurrentSnapshot();
+        ASSERT_EQ(pinned->epoch(), 0u);
+        std::atomic<bool> go{false};
+        std::atomic<int> failures{0};
+        std::vector<std::thread> readers;
+        for (int r = 0; r < 4; ++r) {
+          readers.emplace_back([&] {
+            while (!go.load()) std::this_thread::yield();
+            for (int iter = 0; iter < 3; ++iter) {
+              QueryEngine engine(pinned->graph(), engine_options);
+              const auto batch = engine.Answer(set);
+              if (!batch.ok() || batch->st_values != reference[0] ||
+                  pinned->state().Answer(set, nullptr).st_values !=
+                      reference[0]) {
+                failures.fetch_add(1);
+                return;
+              }
+            }
+          });
+        }
+        std::thread writer([&] {
+          while (!go.load()) std::this_thread::yield();
+          for (const Edge& m : mutations) {
+            const auto epoch =
+                core.CurrentSnapshot()->graph().HasEdge(m.src, m.dst)
+                    ? core.UpdateEdgeProb(m.src, m.dst, m.prob)
+                    : core.AddEdge(m.src, m.dst, m.prob);
+            ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+          }
+        });
+
+        // Meanwhile, queries submitted through the core must match the
+        // reference for whichever epoch they report being pinned to.
+        std::mutex check_mu;
+        std::vector<std::pair<uint64_t, std::pair<size_t, double>>> answers;
+        go.store(true);
+        for (int round = 0; round < 20; ++round) {
+          for (size_t i = 0; i < pairs.size(); ++i) {
+            core.Submit(pairs[i].s, pairs[i].t,
+                        [&, i](const StatusOr<double>& r, uint64_t epoch) {
+                          ASSERT_TRUE(r.ok());
+                          std::lock_guard<std::mutex> lock(check_mu);
+                          answers.push_back({epoch, {i, *r}});
+                        });
+          }
+        }
+        writer.join();
+        core.Drain();
+        for (std::thread& t : readers) t.join();
+        EXPECT_EQ(failures.load(), 0);
+
+        EXPECT_EQ(core.CurrentSnapshot()->epoch(), mutations.size());
+        EXPECT_EQ(pinned->epoch(), 0u);  // the pinned snapshot never moved
+        EXPECT_EQ(answers.size(), 20 * pairs.size());
+        for (const auto& [epoch, idx_value] : answers) {
+          ASSERT_LT(epoch, reference.size());
+          EXPECT_EQ(idx_value.second, reference[epoch][idx_value.first])
+              << "epoch " << epoch << " pair " << idx_value.first;
+        }
+        // A read submitted after the last publish lands on the final epoch.
+        double last = -1.0;
+        uint64_t last_epoch = 0;
+        core.Submit(pairs[0].s, pairs[0].t,
+                    [&](const StatusOr<double>& r, uint64_t epoch) {
+                      ASSERT_TRUE(r.ok());
+                      last = *r;
+                      last_epoch = epoch;
+                    });
+        core.Drain();
+        EXPECT_EQ(last_epoch, mutations.size());
+        EXPECT_EQ(last, reference[mutations.size()][0]);
       }
-    });
-  }
-  std::thread writer([&] {
-    while (!go.load()) std::this_thread::yield();
-    for (const Edge& m : mutations) {
-      const auto epoch = core.CurrentSnapshot()->graph().HasEdge(m.src, m.dst)
-                             ? core.UpdateEdgeProb(m.src, m.dst, m.prob)
-                             : core.AddEdge(m.src, m.dst, m.prob);
-      ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
     }
-  });
-
-  // Meanwhile, queries submitted through the core must match the reference
-  // for whichever epoch they report being pinned to.
-  std::mutex check_mu;
-  std::vector<std::pair<uint64_t, std::pair<size_t, double>>> answers;
-  go.store(true);
-  for (int round = 0; round < 20; ++round) {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      core.Submit(pairs[i].s, pairs[i].t,
-                  [&, i](const StatusOr<double>& r, uint64_t epoch) {
-                    ASSERT_TRUE(r.ok());
-                    std::lock_guard<std::mutex> lock(check_mu);
-                    answers.push_back({epoch, {i, *r}});
-                  });
-    }
-  }
-  writer.join();
-  core.Drain();
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  EXPECT_EQ(core.CurrentSnapshot()->epoch(), mutations.size());
-  EXPECT_EQ(pinned->epoch(), 0u);  // the pinned snapshot never moved
-  for (const auto& [epoch, idx_value] : answers) {
-    ASSERT_LT(epoch, reference.size());
-    EXPECT_EQ(idx_value.second, reference[epoch][idx_value.first])
-        << "epoch " << epoch << " pair " << idx_value.first;
   }
 }
 
-// Replayed replicas land on the same version counter as the published
-// snapshot — the invariant that keys every lane's result cache correctly.
+// Each published snapshot carries its graph's version counter, one bump per
+// mutation — the same value a batch engine applying those mutations sees.
 TEST(ServeCoreTest, SnapshotVersionTracksMutations) {
   ServeCore core(Example3(), ServeOptions{});
   const uint64_t v0 = core.CurrentSnapshot()->version();

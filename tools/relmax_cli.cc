@@ -33,9 +33,14 @@
 // snapshots, typed shed responses under overload. Query responses are
 // bit-identical to `batch` rows for the same (version, estimator, seed, Z,
 // query) tuple, so scripted streams diff cleanly against batch output.
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,14 +86,26 @@ StatusOr<UncertainGraph> LoadGraph(const Flags& flags) {
   return ReadEdgeList(path);
 }
 
-std::vector<NodeId> ParseNodeList(const std::string& csv) {
+// Parses --<flag> as comma-separated node ids. An empty value is an empty
+// list; an empty, non-numeric or out-of-range field fails, naming the field.
+StatusOr<std::vector<NodeId>> ParseNodeList(const Flags& flags,
+                                            const std::string& flag) {
+  const std::string csv = flags.GetString(flag, "");
   std::vector<NodeId> nodes;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    nodes.push_back(
-        static_cast<NodeId>(std::stoul(csv.substr(pos, comma - pos))));
+  for (size_t pos = 0; !csv.empty() && pos <= csv.size();) {
+    const size_t comma = std::min(csv.find(',', pos), csv.size());
+    const std::string field = csv.substr(pos, comma - pos);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long id = std::strtoull(field.c_str(), &end, 10);
+    if (field.empty() || !std::isdigit(static_cast<unsigned char>(field[0])) ||
+        *end != '\0' || errno == ERANGE ||
+        id > std::numeric_limits<NodeId>::max()) {
+      return Status::InvalidArgument("--" + flag + ": bad node id '" + field +
+                                     "' (want a comma-separated list of "
+                                     "non-negative integers)");
+    }
+    nodes.push_back(static_cast<NodeId>(id));
     pos = comma + 1;
   }
   return nodes;
@@ -105,16 +122,16 @@ StatusOr<Estimator> ParseEstimator(const Flags& flags) {
 
 StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   SolverOptions options;
-  options.budget_k = static_cast<int>(flags.GetInt("k", 10));
+  options.budget_k = flags.GetInt32("k", 10);
   options.zeta = flags.GetDouble("zeta", 0.5);
-  options.top_r = static_cast<int>(flags.GetInt("r", 100));
-  options.top_l = static_cast<int>(flags.GetInt("l", 30));
-  options.hop_h = static_cast<int>(flags.GetInt("h", 3));
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 500));
+  options.top_r = flags.GetInt32("r", 100);
+  options.top_l = flags.GetInt32("l", 30);
+  options.hop_h = flags.GetInt32("h", 3);
+  options.num_samples = flags.GetInt32("samples", 500);
   options.elimination_samples =
-      static_cast<int>(flags.GetInt("elim-samples", 500));
+      flags.GetInt32("elim-samples", 500);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  options.num_threads = flags.GetInt32("threads", 1);
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   auto estimator = ParseEstimator(flags);
   RELMAX_RETURN_IF_ERROR(estimator.status());
@@ -172,9 +189,9 @@ int CmdEstimate(const Flags& flags) {
   if (s >= graph->num_nodes() || t >= graph->num_nodes()) {
     return Fail("query node out of range");
   }
-  const int samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const int samples = flags.GetInt32("samples", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  const int threads = flags.GetInt32("threads", 1);
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   WallTimer timer;
@@ -232,11 +249,11 @@ int CmdSolve(const Flags& flags) {
 int CmdMulti(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
-  const std::vector<NodeId> sources =
-      ParseNodeList(flags.GetString("sources", ""));
-  const std::vector<NodeId> targets =
-      ParseNodeList(flags.GetString("targets", ""));
-  if (sources.empty() || targets.empty()) {
+  const auto sources = ParseNodeList(flags, "sources");
+  if (!sources.ok()) return Fail(sources.status().ToString());
+  const auto targets = ParseNodeList(flags, "targets");
+  if (!targets.ok()) return Fail(targets.status().ToString());
+  if (sources->empty() || targets->empty()) {
     return Fail("need --sources a,b,... and --targets c,d,...");
   }
   const std::string agg_name = flags.GetString("aggregate", "avg");
@@ -253,7 +270,7 @@ int CmdMulti(const Flags& flags) {
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   WallTimer timer;
-  auto solution = MaximizeMultiReliability(*graph, sources, targets,
+  auto solution = MaximizeMultiReliability(*graph, *sources, *targets,
                                            aggregate, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf("%s aggregate: %.4f -> %.4f (gain %.4f) in %.2f s\n",
@@ -274,8 +291,8 @@ int CmdBudget(const Flags& flags) {
   const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
   BudgetOptions budget;
   budget.total_budget = flags.GetDouble("budget", 2.0);
-  budget.max_edges = static_cast<int>(flags.GetInt("max-edges", 10));
-  budget.units = static_cast<int>(flags.GetInt("units", 20));
+  budget.max_edges = flags.GetInt32("max-edges", 10);
+  budget.units = flags.GetInt32("units", 20);
   budget.max_edge_prob = flags.GetDouble("max-edge-prob", 0.95);
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
@@ -298,9 +315,9 @@ int CmdBudget(const Flags& flags) {
 // uses, so `index save` / `index load` / `batch --index-file` agree.
 WorldBank::Options WorldOptionsFromFlags(const Flags& flags) {
   WorldBank::Options options;
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  options.num_samples = flags.GetInt32("samples", 2000);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  options.num_threads = flags.GetInt32("threads", 1);
   return options;
 }
 
@@ -366,9 +383,9 @@ int CmdBatch(const Flags& flags) {
   auto set = QuerySet::FromFile(queries_path);
   if (!set.ok()) return Fail(set.status().ToString());
   QueryEngineOptions options;
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  options.num_samples = flags.GetInt32("samples", 2000);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  options.num_threads = flags.GetInt32("threads", 1);
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.use_index = flags.GetBool("index", false);
   options.index_file = flags.GetString("index-file", "");
@@ -393,12 +410,11 @@ int CmdBatch(const Flags& flags) {
       result->stats.index_answers, result->stats.cache_hits,
       options.num_samples, result->stats.bank_bytes, timer.ElapsedSeconds());
   if (const ReliabilityIndex* index = engine.index()) {
-    const ReliabilityIndex::Stats& istats = index->stats();
     std::printf(
         "index: %d worlds, %d label bits, %zu label bytes, "
-        "%zu worlds relabeled, %zu reach floods\n",
+        "%zu worlds relabeled\n",
         index->num_worlds(), index->label_bits(), index->label_bytes(),
-        istats.worlds_relabeled, istats.reach_floods);
+        index->stats().worlds_relabeled);
   }
   if (!options.index_file.empty()) {
     const IndexIoStats& io = engine.index_io_stats();
@@ -418,16 +434,16 @@ int CmdServe(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   serve::ServeOptions options;
-  options.engine.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  options.engine.num_samples = flags.GetInt32("samples", 2000);
   options.engine.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  options.engine.num_threads = flags.GetInt32("threads", 1);
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.engine.use_index = flags.GetBool("index", false);
   options.engine.index_file = flags.GetString("index-file", "");
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   options.engine.estimator = *estimator;
-  options.window_us = static_cast<int>(flags.GetInt("window-us", 2000));
+  options.window_us = flags.GetInt32("window-us", 2000);
   if (options.window_us < 0) return Fail("--window-us must be >= 0");
   const int64_t max_batch = flags.GetInt("max-batch", 256);
   if (max_batch < 1) return Fail("--max-batch must be >= 1");
@@ -435,7 +451,7 @@ int CmdServe(const Flags& flags) {
   const int64_t max_queue = flags.GetInt("max-queue", 1024);
   if (max_queue < 0) return Fail("--max-queue must be >= 0");
   options.max_queue = static_cast<size_t>(max_queue);
-  options.lanes = static_cast<int>(flags.GetInt("lanes", 1));
+  options.lanes = flags.GetInt32("lanes", 1);
   if (options.lanes < 1) return Fail("--lanes must be >= 1");
 
   serve::Server server(std::move(*graph), options);
