@@ -65,13 +65,10 @@ BenchConfig BenchConfig::FromFlags(const Flags& flags) {
   config.l = flags.GetInt32("l", config.l);
   config.h = flags.GetInt32("h", config.h);
   config.samples = flags.GetInt32("samples", config.samples);
-  config.elim_samples =
-      flags.GetInt32("elim-samples", config.elim_samples);
-  config.gain_samples =
-      flags.GetInt32("gain-samples", config.gain_samples);
+  config.elim_samples = flags.GetInt32("elim-samples", config.elim_samples);
+  config.gain_samples = flags.GetInt32("gain-samples", config.gain_samples);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.num_threads =
-      flags.GetInt32("threads", config.num_threads);
+  config.num_threads = flags.GetInt32("threads", config.num_threads);
   config.reuse_worlds = flags.GetBool("reuse-worlds", config.reuse_worlds);
   config.print_env = flags.GetBool("print-env", config.print_env);
   return config;

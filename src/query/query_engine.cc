@@ -111,9 +111,8 @@ void WorldState::AdoptBank(std::unique_ptr<WorldBank> bank) {
 }
 
 void WorldState::TryLoadIndexFile(IndexIoStats* io) {
-  StatusOr<LoadedIndex> loaded = LoadIndex(options_.index_file, graph_,
-                                           WorldOptions(),
-                                           IndexOptions(options_));
+  StatusOr<LoadedIndex> loaded = LoadIndex(
+      options_.index_file, graph_, WorldOptions(), IndexOptions(options_));
   if (!loaded.ok()) {
     if (loaded.status().code() != StatusCode::kNotFound) {
       std::fprintf(stderr,

@@ -128,8 +128,7 @@ StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   options.top_l = flags.GetInt32("l", 30);
   options.hop_h = flags.GetInt32("h", 3);
   options.num_samples = flags.GetInt32("samples", 500);
-  options.elimination_samples =
-      flags.GetInt32("elim-samples", 500);
+  options.elimination_samples = flags.GetInt32("elim-samples", 500);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = flags.GetInt32("threads", 1);
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
