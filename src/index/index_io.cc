@@ -46,9 +46,8 @@ int LabelBitsFor(NodeId num_nodes) {
 }
 
 /// The section kinds in their required file order.
-constexpr IndexSectionKind kSectionOrder[] = {
-    IndexSectionKind::kBankRows, IndexSectionKind::kLabelPlanes,
-    IndexSectionKind::kLabelCompaction};
+constexpr IndexSectionKind kSectionOrder[] = {IndexSectionKind::kBankRows,
+                                              IndexSectionKind::kLabelPlanes};
 constexpr size_t kNumSections = std::size(kSectionOrder);
 
 /// Lane-padded words per stored bank row. Saved rows use the same stride
@@ -76,40 +75,6 @@ Status WritePad(std::FILE* f, size_t from, size_t to,
   static const unsigned char kZeros[64] = {};
   RELMAX_DCHECK(to >= from && to - from <= sizeof(kZeros));
   return WriteAll(f, kZeros, to - from, path);
-}
-
-/// Per-world compact-label-domain sizes, recovered from the bit-planes: the
-/// index numbers components by first appearance in node order, so a world's
-/// domain size is its maximum label + 1.
-std::vector<uint32_t> CompactionTable(const ReliabilityIndex& index,
-                                      NodeId num_nodes, int num_worlds,
-                                      size_t world_words) {
-  std::vector<uint32_t> max_label(num_worlds, 0);
-  const std::span<const uint64_t> labels = index.label_words();
-  const int bits = index.label_bits();
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    const uint64_t* const planes =
-        labels.data() + static_cast<size_t>(v) * bits * world_words;
-    for (size_t w = 0; w < world_words; ++w) {
-      const int base = static_cast<int>(w * 64);
-      const int limit = std::min(64, num_worlds - base);
-      for (int bit = 0; bit < limit; ++bit) {
-        uint32_t label = 0;
-        for (int b = 0; b < bits; ++b) {
-          label |= static_cast<uint32_t>(
-                       (planes[static_cast<size_t>(b) * world_words + w] >>
-                        bit) &
-                       1)
-                   << b;
-        }
-        if (label > max_label[base + bit]) max_label[base + bit] = label;
-      }
-    }
-  }
-  // Domain size = max label + 1 (a world always has at least one component
-  // when the graph has nodes).
-  for (uint32_t& m : max_label) m += (num_nodes > 0) ? 1 : 0;
-  return max_label;
 }
 
 }  // namespace
@@ -249,16 +214,6 @@ StatusOr<size_t> SaveIndex(const WorldBank& bank,
     const std::span<const uint64_t> labels = index.label_words();
     s.words.assign(labels.begin(), labels.end());
     s.bytes = s.words.size() * sizeof(uint64_t);
-    sections.push_back(std::move(s));
-  }
-  {
-    Section s;
-    s.kind = IndexSectionKind::kLabelCompaction;
-    const std::vector<uint32_t> counts =
-        CompactionTable(index, num_nodes, num_worlds, world_words);
-    s.bytes = counts.size() * sizeof(uint32_t);
-    s.words.assign((s.bytes + 7) / 8, 0);
-    std::memcpy(s.words.data(), counts.data(), s.bytes);
     sections.push_back(std::move(s));
   }
   RELMAX_DCHECK(sections.size() == kNumSections);
@@ -539,27 +494,6 @@ StatusOr<LoadedIndex> LoadIndex(
         path + ": label planes hold " + std::to_string(labels_entry.length) +
         " bytes, expected " +
         std::to_string(label_words_expected * sizeof(uint64_t)));
-  }
-  const IndexSectionEntry& compaction_entry = table[2];
-  if (compaction_entry.length !=
-      static_cast<size_t>(num_worlds) * sizeof(uint32_t)) {
-    return Status::InvalidArgument(path +
-                                   ": label-compaction table has " +
-                                   std::to_string(compaction_entry.length) +
-                                   " bytes, expected 4 per world");
-  }
-  for (int w = 0; w < num_worlds; ++w) {
-    uint32_t count;
-    std::memcpy(&count,
-                base + compaction_entry.offset +
-                    static_cast<size_t>(w) * sizeof(uint32_t),
-                sizeof(uint32_t));
-    if (count > num_nodes || (num_nodes > 0 && count == 0)) {
-      return Status::InvalidArgument(
-          path + ": label-compaction table claims " + std::to_string(count) +
-          " components in world " + std::to_string(w) + " of a " +
-          std::to_string(num_nodes) + "-node graph");
-    }
   }
 
   // Bank rows must keep the BitMatrix invariant the kernels rely on: bits

@@ -16,8 +16,8 @@ namespace relmax {
 
 /// Persistence for the offline reliability index: one mmap-able flat file
 /// holding everything a process needs to answer queries without resampling
-/// or relabeling — the bank's edge×world bit rows, the index's label
-/// bit-planes, and the per-world label-compaction tables.
+/// or relabeling — the bank's edge×world bit rows and the index's label
+/// bit-planes.
 ///
 /// File layout (all integers little-endian, every payload section 64-byte
 /// aligned so loaded bank rows drop straight into the lane-block kernels):
@@ -26,13 +26,11 @@ namespace relmax {
 ///     │ IndexFileHeader    │ fixed 88 bytes, keyed on (graph digest,
 ///     │                    │ directedness, Z, seed, lane layout)
 ///     ├────────────────────┤
-///     │ SectionEntry table │ 3 × 24 bytes
+///     │ SectionEntry table │ 2 × 24 bytes
 ///     ├────────────────────┤ pad to 64
 ///     │ kBankRows          │ every edge's world row, lane-stride padded
 ///     ├────────────────────┤ pad to 64
 ///     │ kLabelPlanes       │ the index's raw label words
-///     ├────────────────────┤ pad to 64
-///     │ kLabelCompaction   │ per-world compact-label-domain sizes (u32 × Z)
 ///     ├────────────────────┤ pad to 64
 ///     │ footer             │ magic, table checksum, per-section checksums
 ///     └────────────────────┘
@@ -46,9 +44,10 @@ namespace relmax {
 /// payload byte is interpreted: magic / version / endianness, the header
 /// key against the caller's (graph, WorldBank::Options), exact file size
 /// against the declared layout (truncation), section alignment, the footer
-/// checksums, and payload invariants (component counts, zero tail/pad
-/// bits). A file of an older format version fails the version check. Every failure is a typed Status — never UB — so callers can fall
-/// back loudly to a rebuild, mirroring the bank-fallback protocol.
+/// checksums, and payload invariants (section sizes, zero tail/pad bits).
+/// A file of an older format version fails the version check. Every
+/// failure is a typed Status — never UB — so callers can fall back loudly
+/// to a rebuild, mirroring the bank-fallback protocol.
 
 /// On-disk header. Plain-old-data on purpose: the format IS this struct's
 /// bytes (packed naturally — every field is aligned to its size), so tests
@@ -76,17 +75,17 @@ static_assert(sizeof(IndexFileHeader) == 88, "on-disk header layout");
 inline constexpr uint64_t kIndexMagic = 0x3158444958494d52;   // "RMIXIDX1"
 inline constexpr uint64_t kIndexFooterMagic =
     0x31444e4558494d52;                                       // "RMIXEND1"
-/// Files of any other version (1 had per-shard bank sections) fail the
-/// version check with kFailedPrecondition; the engine then rebuilds.
-inline constexpr uint32_t kIndexFormatVersion = 2;
+/// Files of any other version (1 had per-shard bank sections, 2 a
+/// per-world label-compaction section) fail the version check with
+/// kFailedPrecondition; the engine then rebuilds.
+inline constexpr uint32_t kIndexFormatVersion = 3;
 inline constexpr uint32_t kIndexEndianTag = 0x01020304;
 inline constexpr uint32_t kIndexFlagDirected = 1u << 0;
 
 /// Payload section kinds, in their required file order.
 enum class IndexSectionKind : uint64_t {
-  kBankRows = 1,         ///< every edge's world row, stride-padded
-  kLabelPlanes = 2,      ///< the index's raw label words
-  kLabelCompaction = 3,  ///< u32 per world: compact label-domain size
+  kBankRows = 1,     ///< every edge's world row, stride-padded
+  kLabelPlanes = 2,  ///< the index's raw label words
 };
 
 /// On-disk section-table entry. `offset` is from the file start and must be

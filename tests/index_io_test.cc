@@ -198,8 +198,8 @@ class IndexIoCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     info_ = *info;
     ASSERT_EQ(info_.header.num_sections, info_.sections.size());
-    // Bank rows + labels + compaction.
-    ASSERT_EQ(info_.sections.size(), 3u);
+    // Bank rows + labels.
+    ASSERT_EQ(info_.sections.size(), 2u);
   }
 
   StatusCode LoadCode(std::string* message = nullptr) {
@@ -347,9 +347,11 @@ TEST_F(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
   WriteFileBytes(path_, bytes);
   EXPECT_EQ(LoadCode(), StatusCode::kFailedPrecondition);
 
-  // A future version and the retired version 1 (per-shard bank sections
-  // plus a partition map) are both refused before any layout is parsed.
-  for (const uint32_t version : {kIndexFormatVersion + 1, uint32_t{1}}) {
+  // A future version and the retired versions 1 (per-shard bank sections
+  // plus a partition map) and 2 (a label-compaction section) are all
+  // refused before any layout is parsed.
+  for (const uint32_t version :
+       {kIndexFormatVersion + 1, uint32_t{1}, uint32_t{2}}) {
     bytes = pristine_;
     std::memcpy(bytes.data() + offsetof(IndexFileHeader, format_version),
                 &version, sizeof(version));
@@ -362,31 +364,6 @@ TEST_F(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
         << message;
     ExpectEngineRebuildFallback();
   }
-}
-
-TEST_F(IndexIoCorruptionTest, OutOfRangeCompactionTableIsInvalidArgument) {
-  // Claim more components than the graph has nodes in world 0 and
-  // re-checksum that section so the failure exercises the payload
-  // validation, not the checksum. The footer layout is
-  // [magic][table checksum][per-section...].
-  std::vector<unsigned char> bytes = pristine_;
-  const IndexSectionEntry& compaction = info_.sections.back();
-  ASSERT_EQ(compaction.kind,
-            static_cast<uint64_t>(IndexSectionKind::kLabelCompaction));
-  uint32_t components = 0xffff;
-  std::memcpy(bytes.data() + compaction.offset, &components,
-              sizeof(components));
-  const uint64_t checksum =
-      HashBytes(bytes.data() + compaction.offset, compaction.length);
-  const size_t checksum_at = bytes.size() -
-                             info_.sections.size() * sizeof(uint64_t) +
-                             (info_.sections.size() - 1) * sizeof(uint64_t);
-  std::memcpy(bytes.data() + checksum_at, &checksum, sizeof(checksum));
-  WriteFileBytes(path_, bytes);
-  std::string message;
-  EXPECT_EQ(LoadCode(&message), StatusCode::kInvalidArgument);
-  EXPECT_NE(message.find("components"), std::string::npos) << message;
-  ExpectEngineRebuildFallback();
 }
 
 TEST(IndexIoEngineTest, BatchLoadElseBuildAndSave) {

@@ -362,17 +362,17 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "20000 worlds relabeled\n"
             "index_io: 0 loads, 1 saves, 0 load failures, "
-            "generation 1, 105384 file bytes\n");
+            "generation 1, 25376 file bytes\n");
 
   // `index load` validates the full file (key, layout, checksums) and
   // reports its shape. The byte size pins the on-disk format itself: header
-  // 88 + table + 64-byte-aligned sections (bank 5120, labels 20032,
-  // compaction 80000) + footer.
+  // 88 + table + 64-byte-aligned sections (bank 5120, labels 20032) +
+  // footer.
   const std::string loaded = normalize(RunCli(
       "index load --graph " + graph + " --index-file " + index_file +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(loaded,
-            "loaded <index>: generation 1, 105384 bytes (20000 worlds, "
+            "loaded <index>: generation 1, 25376 bytes (20000 worlds, "
             "2 label bits, 20032 label bytes, <t> s)\n");
 
   // Second batch: mmap-load, no sampling, no relabeling — "0 worlds
@@ -393,7 +393,7 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "0 worlds relabeled\n"
             "index_io: 1 loads, 0 saves, 0 load failures, "
-            "generation 1, 105384 file bytes\n");
+            "generation 1, 25376 file bytes\n");
 
   // Explicit `index save` rebuilds and atomically overwrites (generation 1
   // again — a fresh save, not a republish).
@@ -401,7 +401,7 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
       "index save --graph " + graph + " --index-file " + index_file +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(saved,
-            "saved <index>: generation 1, 105384 bytes (20000 worlds, "
+            "saved <index>: generation 1, 25376 bytes (20000 worlds, "
             "2 label bits, 20032 label bytes, <t> s)\n");
 }
 
