@@ -125,9 +125,15 @@ double Figure3Reliability(double alpha, double zeta, bool add_sa, bool add_sb,
   const NodeId t = 3;
   EXPECT_TRUE(g.AddEdge(a, b, alpha).ok());
   EXPECT_TRUE(g.AddEdge(a, t, alpha).ok());
-  if (add_sa) EXPECT_TRUE(g.AddEdge(s, a, zeta).ok());
-  if (add_sb) EXPECT_TRUE(g.AddEdge(s, b, zeta).ok());
-  if (add_bt) EXPECT_TRUE(g.AddEdge(b, t, zeta).ok());
+  if (add_sa) {
+    EXPECT_TRUE(g.AddEdge(s, a, zeta).ok());
+  }
+  if (add_sb) {
+    EXPECT_TRUE(g.AddEdge(s, b, zeta).ok());
+  }
+  if (add_bt) {
+    EXPECT_TRUE(g.AddEdge(b, t, zeta).ok());
+  }
   return ExactReliabilityFactoring(g, s, t).value();
 }
 

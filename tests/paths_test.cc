@@ -174,7 +174,9 @@ TEST_P(YenOracleSweep, MatchesExhaustiveEnumeration) {
     EXPECT_EQ(unique_nodes.size(), yen[i].nodes.size());
     EXPECT_TRUE(distinct.insert(yen[i].nodes).second);
     // Non-increasing order.
-    if (i > 0) EXPECT_LE(yen[i].probability, yen[i - 1].probability + 1e-15);
+    if (i > 0) {
+      EXPECT_LE(yen[i].probability, yen[i - 1].probability + 1e-15);
+    }
     // Path endpoints and edges are real.
     EXPECT_EQ(yen[i].nodes.front(), s);
     EXPECT_EQ(yen[i].nodes.back(), t);

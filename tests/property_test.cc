@@ -362,7 +362,9 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
           residual_sources.insert(q.s);
         }
       }
-      if (!g.directed()) EXPECT_TRUE(residual_sources.empty());
+      if (!g.directed()) {
+        EXPECT_TRUE(residual_sources.empty());
+      }
       EXPECT_EQ(result->stats.floods, residual_sources.size());
       EXPECT_EQ(result->stats.index_answers, result->stats.distinct_pairs);
     }

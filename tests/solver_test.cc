@@ -170,7 +170,7 @@ TEST(SolverTest, ReuseWorldsOnAndOffPickSameEdgesWhenGainsAreDistinct) {
   // world bank and per-evaluation re-sampling must select identical edges at
   // an equal sample budget. (On workloads with exactly symmetric candidates
   // the two modes may break such ties differently — that tolerance is
-  // documented in README and BENCH_selection.json.)
+  // documented in README.)
   const UncertainGraph g = TwoClusters();
   for (CoreMethod method :
        {CoreMethod::kBatchEdges, CoreMethod::kIndividualPaths}) {

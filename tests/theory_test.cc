@@ -88,9 +88,15 @@ TEST(Theorem1Test, OptimalEdgesSolveMaxCover) {
 // edge set E'.
 double Fig2Reliability(bool st, bool sa, bool at) {
   UncertainGraph g = UncertainGraph::Directed(3);
-  if (st) EXPECT_TRUE(g.AddEdge(0, 2, 0.5).ok());
-  if (sa) EXPECT_TRUE(g.AddEdge(0, 1, 0.5).ok());
-  if (at) EXPECT_TRUE(g.AddEdge(1, 2, 0.5).ok());
+  if (st) {
+    EXPECT_TRUE(g.AddEdge(0, 2, 0.5).ok());
+  }
+  if (sa) {
+    EXPECT_TRUE(g.AddEdge(0, 1, 0.5).ok());
+  }
+  if (at) {
+    EXPECT_TRUE(g.AddEdge(1, 2, 0.5).ok());
+  }
   return ExactReliabilityFactoring(g, 0, 2).value();
 }
 
