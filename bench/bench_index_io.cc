@@ -1,10 +1,14 @@
 // Persistent index I/O: what a saved index file buys over rebuilding. The
-// harness builds the offline reliability index from scratch (bank sampling + per-world labeling), saves it with SaveIndex,
-// then mmap-loads it back with LoadIndex — the load path's whole job is to
-// be O(file size) with zero sampling and zero relabeling, so
-// load_seconds << build_seconds is the entire point of the format.
+// harness builds the offline reliability index from scratch (bank sampling +
+// per-world labeling), saves it with SaveIndex, then mmap-loads it back with
+// LoadIndex — the load path's whole job is to be O(file size) with zero
+// sampling and zero relabeling, so load_seconds << build_seconds is the
+// entire point of the format.
 //
-// Bit-purity is enforced in-harness on every row: the loaded index must
+// The whole build/save/load cycle runs kRepeats times; every timed field is
+// reported as the median with its quartiles (q1, q3) over those repeats.
+//
+// Bit-purity is enforced in-harness on every repeat: the loaded index must
 // return exactly the same connected-world bitsets and Query values as the
 // freshly built one, or the run exits 1. A non-empty --json PATH writes the
 // result entry in the canonical BENCH_*.json shape ({label, command,
@@ -26,14 +30,37 @@ namespace relmax {
 namespace bench {
 namespace {
 
+// Build/save/load cycles per run. Five keeps the quartiles off the extremes
+// while a lastfm x1.0, Z = 2000 run takes about ten seconds.
+constexpr int kRepeats = 5;
+
 struct IoResult {
   double build_seconds = 0.0;  // bank sampling + labeling, from scratch
   double save_seconds = 0.0;   // SaveIndex (write-temp + fsync + rename)
   double load_seconds = 0.0;   // LoadIndex (mmap + validate + adopt)
-  double speedup_load_vs_build = 0.0;
   size_t file_bytes = 0;
   bool bit_identical = false;  // loaded answers == built answers, exactly
 };
+
+// Median and quartiles of one timed field over the repeats.
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+// Quantiles by linear interpolation between order statistics (with five
+// samples, q1 and q3 are the second and fourth smallest).
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - lo) * (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.25), quantile(0.5), quantile(0.75)};
+}
 
 // Random pairs with s != t, a pure function of (n, seed).
 std::vector<std::pair<NodeId, NodeId>> RandomPairs(NodeId n, int num_pairs,
@@ -86,7 +113,6 @@ IoResult RunIo(const UncertainGraph& g, int num_samples, uint64_t seed,
                  loaded.status().ToString().c_str());
     return r;
   }
-  r.speedup_load_vs_build = r.build_seconds / std::max(r.load_seconds, 1e-12);
 
   // Bit-purity: the loaded index answers from mmap-ed bytes, the built one
   // from freshly computed labels — every connected-world bitset and every
@@ -125,14 +151,35 @@ void Run(const Flags& flags) {
               dataset_name.c_str(), scale, g.num_nodes(), g.num_edges(),
               num_samples, static_cast<unsigned long long>(seed));
 
-  TablePrinter table({"Build s", "Save s", "Load s", "Load/Build",
+  TablePrinter table({"Repeat", "Build s", "Save s", "Load s", "Load/Build",
                       "File bytes", "Identical"});
-  const IoResult r = RunIo(g, num_samples, seed, load_reps, path);
-  table.AddRow({Fmt(r.build_seconds, 4), Fmt(r.save_seconds, 4),
-                Fmt(r.load_seconds, 6),
-                Fmt(r.speedup_load_vs_build, 1) + "x",
-                Fmt(static_cast<int>(r.file_bytes)),
-                r.bit_identical ? "yes" : "NO"});
+  std::vector<double> build, save, load;
+  size_t file_bytes = 0;
+  bool bit_identical = true;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    const IoResult r = RunIo(g, num_samples, seed, load_reps, path);
+    const double ratio = r.build_seconds / std::max(r.load_seconds, 1e-12);
+    table.AddRow({Fmt(rep + 1), Fmt(r.build_seconds, 4), Fmt(r.save_seconds, 4),
+                  Fmt(r.load_seconds, 6), Fmt(ratio, 1) + "x",
+                  Fmt(r.file_bytes), r.bit_identical ? "yes" : "NO"});
+    build.push_back(r.build_seconds);
+    save.push_back(r.save_seconds);
+    load.push_back(r.load_seconds);
+    file_bytes = r.file_bytes;
+    bit_identical = bit_identical && r.bit_identical;
+  }
+  const Spread build_s = SpreadOf(build);
+  const Spread save_s = SpreadOf(save);
+  const Spread load_s = SpreadOf(load);
+  const double speedup = build_s.median / std::max(load_s.median, 1e-12);
+
+  const auto range = [](const Spread& s, int digits) {
+    return Fmt(s.median, digits) + " [" + Fmt(s.q1, digits) + ", " +
+           Fmt(s.q3, digits) + "]";
+  };
+  table.AddRow({"median [q1, q3]", range(build_s, 4), range(save_s, 4),
+                range(load_s, 6), Fmt(speedup, 1) + "x", Fmt(file_bytes),
+                bit_identical ? "yes" : "NO"});
   table.Print();
   std::printf(
       "\nbuild pays Z world draws plus per-world labeling every process\n"
@@ -140,8 +187,8 @@ void Run(const Flags& flags) {
       "bank rows zero-copy — Load/Build is the startup speedup a persisted\n"
       "index buys, with answers guaranteed bit-identical.\n");
 
-  const auto enforce_identical = [&r] {
-    if (r.bit_identical) return;
+  const auto enforce_identical = [bit_identical] {
+    if (bit_identical) return;
     std::fprintf(stderr,
                  "FAIL: loaded index answers were not bit-identical to the "
                  "freshly built index\n");
@@ -155,25 +202,27 @@ void Run(const Flags& flags) {
   json += "  \"command\": \"bench_index_io --dataset " + dataset_name +
           " --scale " + Fmt(scale, 2) + " --samples " +
           std::to_string(num_samples) + " --seed " + std::to_string(seed) +
-          "\",\n";
+          " --load-reps " + std::to_string(load_reps) + "\",\n";
   json += "  \"environment\": " +
           EnvironmentJson("WallTimer harness",
                           "build = WorldBank sampling + ReliabilityIndex "
                           "labeling from scratch; save = SaveIndex "
-                          "write-temp + rename; load = LoadIndex mmap + "
-                          "checksum validation + zero-copy bank adoption, "
-                          "averaged over --load-reps") +
+                          "write-temp + fsync + rename; load = LoadIndex "
+                          "mmap + checksum validation + zero-copy bank "
+                          "adoption, averaged over --load-reps") +
           ",\n  \"benchmarks\": [\n";
-  const std::string common =
-      ", \"build_seconds\": " + Fmt(r.build_seconds, 6) +
-      ", \"save_seconds\": " + Fmt(r.save_seconds, 6) +
-      ", \"load_seconds\": " + Fmt(r.load_seconds, 6) +
-      ", \"speedup_load_vs_build\": " + Fmt(r.speedup_load_vs_build, 2) +
-      ", \"file_bytes\": " + std::to_string(r.file_bytes) +
-      ", \"bit_identical\": " + (r.bit_identical ? "true" : "false") + "}";
-  json += "    {\"name\": \"BM_IndexSave\"" + common + ",\n";
-  json += "    {\"name\": \"BM_IndexLoad\"" + common + "\n";
-  json += "  ]\n}\n";
+  const auto field = [](const std::string& name, const Spread& s) {
+    return ", \"" + name + "\": " + Fmt(s.median, 6) + ", \"" + name +
+           "_q1\": " + Fmt(s.q1, 6) + ", \"" + name + "_q3\": " + Fmt(s.q3, 6);
+  };
+  json += "    {\"name\": \"" + dataset_name + "/" + Fmt(scale, 2) + "/" +
+          std::to_string(num_samples) + "\", \"repeats\": " +
+          std::to_string(kRepeats) + field("build_seconds", build_s) +
+          field("save_seconds", save_s) + field("load_seconds", load_s) +
+          ", \"speedup_load_vs_build\": " + Fmt(speedup, 2) +
+          ", \"file_bytes\": " + std::to_string(file_bytes) +
+          ", \"bit_identical\": " + (bit_identical ? "true" : "false") +
+          "}\n  ]\n}\n";
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -60,8 +60,8 @@ struct BenchConfig {
 
 /// Canonical `environment` block shared by every BENCH_*.json record —
 /// identical shape ({cpus_available, compiler, benchmark_library, note})
-/// for the sampling and selection files, emitted from this one helper so
-/// the schemas cannot drift apart again. `benchmark_library` names the
+/// in every file, emitted from this one helper so the schemas cannot drift
+/// apart again. `benchmark_library` names the
 /// timing harness ("google-benchmark x.y" or "WallTimer harness").
 std::string EnvironmentJson(const std::string& benchmark_library,
                             const std::string& note);

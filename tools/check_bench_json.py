@@ -5,19 +5,20 @@ Validates three shapes, auto-detected from the top-level keys:
 
   repo    -- the checked-in BENCH_*.json perf-trajectory files:
              {description, entries: [entry, ...]}
-  doc     -- the free-form checked-in records (BENCH_selection.json):
-             {description, environment, ...} with a canonical environment
-  entry   -- a single run entry, as written by `bench_batch_queries --json`:
+  entry   -- a single run entry, as written by `bench_index_io --json`:
              {label, command, environment, benchmarks}
   gbench  -- google-benchmark --benchmark_out output:
              {context: {...}, benchmarks: [{name, ...}, ...]}
 
 Every `environment` block must have the canonical bench::EnvironmentJson
 shape ({cpus_available, compiler, benchmark_library, note}) so the schema
-cannot drift between files again. Used by the bench-smoke CI job and
-runnable locally:
+cannot drift between files again. Every benchmark row of an entry must
+record `repeats` >= 3 and, for each timed field (a key ending in `_seconds`
+or `_ms`), its quartiles `<key>_q1` <= `<key>` <= `<key>_q3`: a single
+sample cannot say whether a later run reproduces it. Used by the
+bench-smoke CI job and runnable locally:
 
-  python3 tools/check_bench_json.py BENCH_*.json /tmp/batch.json
+  python3 tools/check_bench_json.py BENCH_*.json /tmp/index_io.json
 """
 import json
 import sys
@@ -33,18 +34,13 @@ ENVIRONMENT_KEYS = {
 # benchmark row of an entry with that label, so a bench harness cannot
 # silently drop the columns the trajectory analysis reads.
 LABEL_REQUIRED_KEYS = {
-    "batch_vs_naive": ("naive_seconds", "batched_seconds", "speedup",
-                       "bit_identical"),
     "index_io": ("build_seconds", "save_seconds", "load_seconds",
                  "speedup_load_vs_build", "file_bytes", "bit_identical"),
-    "index_queries": ("naive_per_query_seconds", "flood_seconds",
-                      "index_seconds", "index_build_seconds",
-                      "speedup_index_vs_flood", "bit_identical"),
-    "pr7_pre_simd_baseline": ("cpu_time_ms", "worlds_per_second"),
-    "pr7_simd_frontier_kernels": ("cpu_time_ms", "worlds_per_second"),
-    "serving": ("p50_ms", "p99_ms", "p999_ms", "qps", "shed",
-                "bit_identical"),
+    "sampling_kernels": ("cpu_time_ms", "worlds_per_second"),
 }
+
+MIN_REPEATS = 3
+TIMED_SUFFIXES = ("_seconds", "_ms")
 
 # Every google-benchmark name the micro-kernel suite may emit (the part
 # before the first '/'). A rename or typo in bench_micro_kernels.cc would
@@ -62,8 +58,6 @@ KNOWN_MICRO_BENCHMARKS = frozenset({
     "BM_ReachabilityFixpoint",
     "BM_WorldBankFill",
     "BM_WorldEnsembleBuild",
-    "BM_IndexSave",
-    "BM_IndexLoad",
 })
 
 
@@ -74,6 +68,10 @@ class SchemaError(Exception):
 def require(condition, message):
     if not condition:
         raise SchemaError(message)
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_environment(env, where):
@@ -88,6 +86,23 @@ def check_environment(env, where):
             isinstance(env[key], expected_type),
             f"{where}: environment.{key} must be {expected_type.__name__}",
         )
+
+
+def check_spread(bench, where):
+    repeats = bench.get("repeats")
+    require(is_number(repeats) and repeats >= MIN_REPEATS,
+            f"{where}: needs 'repeats' >= {MIN_REPEATS}")
+    timed = [key for key in bench if key.endswith(TIMED_SUFFIXES)]
+    require(timed, f"{where}: has no timed field")
+    for key in timed:
+        q1 = bench.get(key + "_q1")
+        q3 = bench.get(key + "_q3")
+        require(is_number(bench[key]) and is_number(q1) and is_number(q3),
+                f"{where}: timed field '{key}' needs numeric '{key}_q1' and "
+                f"'{key}_q3'")
+        require(q1 <= bench[key] <= q3,
+                f"{where}: '{key}' {bench[key]} is outside its quartiles "
+                f"[{q1}, {q3}]")
 
 
 def check_benchmarks(benchmarks, where, label=None):
@@ -125,6 +140,8 @@ def check_entry(entry, where):
                 f"{where}: needs a non-empty string '{key}'")
     check_environment(entry.get("environment"), where)
     check_benchmarks(entry.get("benchmarks"), where, entry["label"])
+    for i, bench in enumerate(entry["benchmarks"]):
+        check_spread(bench, f"{where}: benchmarks[{i}]")
 
 
 def check_file(path):
@@ -143,11 +160,6 @@ def check_file(path):
         for i, entry in enumerate(data["entries"]):
             check_entry(entry, f"entries[{i}]")
         return "repo"
-    if "label" not in data and "description" in data:  # free-form record
-        require(data["description"],
-                "doc file needs a non-empty description")
-        check_environment(data.get("environment"), "doc")
-        return "doc"
     check_entry(data, "entry")  # bare single-run entry
     return "entry"
 
