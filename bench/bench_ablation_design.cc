@@ -1,8 +1,7 @@
-// Ablations for the design choices called out in DESIGN.md §1.4:
+// Ablations of the solver's design choices (README "Paper-to-code mapping"):
 //   A. estimator inside BE: MC vs RSS
 //   B. selection: IP vs BE (same candidates/paths)
-//   C. top-l path search: eliminated subgraph vs full augmented graph
-//   D. hill climbing: faithful per-candidate re-estimation vs the
+//   C. hill climbing: faithful per-candidate re-estimation vs the
 //      single-edge delta-gain ensemble (quality should match, time should
 //      not)
 #include <cstdio>
@@ -19,21 +18,18 @@ void Run(const BenchConfig& config) {
   Dataset dataset = LoadDataset("lastfm", config);
   const auto queries = MakeQueries(dataset.graph, config);
 
-  // --- A + C: solver pipeline variants ------------------------------------
+  // --- A + B: solver pipeline variants ------------------------------------
   struct PipelineVariant {
     const char* label;
     Estimator estimator;
-    bool paths_on_subgraph;
     CoreMethod method;
   };
   const PipelineVariant variants[] = {
-      {"BE / MC / paths-on-subgraph", Estimator::kMonteCarlo, true,
+      {"BE / MC / paths-on-subgraph", Estimator::kMonteCarlo,
        CoreMethod::kBatchEdges},
-      {"BE / RSS / paths-on-subgraph", Estimator::kRss, true,
+      {"BE / RSS / paths-on-subgraph", Estimator::kRss,
        CoreMethod::kBatchEdges},
-      {"BE / MC / paths-on-full-graph", Estimator::kMonteCarlo, false,
-       CoreMethod::kBatchEdges},
-      {"IP / MC / paths-on-subgraph", Estimator::kMonteCarlo, true,
+      {"IP / MC / paths-on-subgraph", Estimator::kMonteCarlo,
        CoreMethod::kIndividualPaths},
   };
   TablePrinter pipeline({"Variant", "Gain", "Time (sec)"});
@@ -43,7 +39,6 @@ void Run(const BenchConfig& config) {
     for (const auto& [s, t] : queries) {
       SolverOptions options = config.ToSolverOptions();
       options.estimator = variant.estimator;
-      options.paths_on_eliminated_subgraph = variant.paths_on_subgraph;
       WallTimer timer;
       auto solution =
           MaximizeReliability(dataset.graph, s, t, options, variant.method);
@@ -58,7 +53,7 @@ void Run(const BenchConfig& config) {
   }
   pipeline.Print();
 
-  // --- D: faithful vs delta-gain hill climbing ----------------------------
+  // --- C: faithful vs delta-gain hill climbing ----------------------------
   TablePrinter hc({"Hill climbing", "Gain", "Time (sec)"});
   const Method hc_methods[] = {Method::kHillClimbing,
                                Method::kHillClimbingFast,
@@ -81,9 +76,8 @@ void Run(const BenchConfig& config) {
   }
   hc.Print();
   std::printf(
-      "expected: RSS matches MC's gain with less time; paths-on-full-graph\n"
-      "matches subgraph quality at higher cost; delta-gain variants match\n"
-      "their faithful counterparts' gain at a fraction of the time.\n");
+      "expected: RSS matches MC's gain with less time; delta-gain variants\n"
+      "match their faithful counterparts' gain at a fraction of the time.\n");
 }
 
 }  // namespace
@@ -95,7 +89,7 @@ int main(int argc, char** argv) {
   relmax::bench::BenchConfig config =
       relmax::bench::BenchConfig::FromFlags(flags);
   if (!flags.Has("queries")) config.queries = 2;
-  relmax::bench::PrintHeader("Ablations: estimator / selection / path scope",
+  relmax::bench::PrintHeader("Ablations: estimator / selection / hill climbing",
                              config);
   relmax::bench::Run(config);
   return 0;

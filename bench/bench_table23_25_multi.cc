@@ -2,7 +2,6 @@
 // maximization with the Min / Max / Avg aggregates on the Twitter-like
 // graph — BE (ours) vs HC, EO (eigen), ESSSP and IMA.
 #include <cstdio>
-#include <unordered_set>
 
 #include "baselines/eigen.h"
 #include "baselines/esssp.h"
@@ -38,27 +37,17 @@ MultiWorkspace PrepareMulti(const UncertainGraph& g,
   ws.candidates = *std::move(candidates);
   ws.elimination_seconds = timer.ElapsedSeconds();
 
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) ws.nodes.push_back(v);
-  };
-  for (NodeId v : sources) push(v);
-  for (NodeId v : targets) push(v);
-  for (NodeId v : ws.candidates.from_source) push(v);
-  for (NodeId v : ws.candidates.to_target) push(v);
+  std::vector<NodeId> query_nodes = sources;
+  query_nodes.insert(query_nodes.end(), targets.begin(), targets.end());
+  auto search = BuildSearchGraph(g, query_nodes, ws.candidates);
+  RELMAX_CHECK(search.ok());
+  for (NodeId v : sources) ws.sub_sources.push_back(search->compact_id[v]);
+  for (NodeId v : targets) ws.sub_targets.push_back(search->compact_id[v]);
+  ws.nodes = std::move(search->nodes);
+  ws.sub_candidates = std::move(search->candidates);
   auto sub = g.InducedSubgraph(ws.nodes);
   RELMAX_CHECK(sub.ok());
   ws.sub = *std::move(sub);
-
-  std::vector<NodeId> to_sub(g.num_nodes(), kInvalidNode);
-  for (size_t i = 0; i < ws.nodes.size(); ++i) {
-    to_sub[ws.nodes[i]] = static_cast<NodeId>(i);
-  }
-  for (NodeId v : sources) ws.sub_sources.push_back(to_sub[v]);
-  for (NodeId v : targets) ws.sub_targets.push_back(to_sub[v]);
-  for (const Edge& e : ws.candidates.edges) {
-    ws.sub_candidates.push_back({to_sub[e.src], to_sub[e.dst], e.prob});
-  }
   return ws;
 }
 

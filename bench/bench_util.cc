@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <thread>
-#include <unordered_set>
 
 #include "baselines/centrality.h"
 #include "baselines/eigen.h"
@@ -127,28 +126,16 @@ EliminatedQuery Eliminate(const UncertainGraph& g, NodeId s, NodeId t,
   eq.candidates = *std::move(candidates);
   eq.elimination_seconds = timer.ElapsedSeconds();
 
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) eq.sub_nodes.push_back(v);
-  };
-  push(s);
-  push(t);
-  for (NodeId v : eq.candidates.from_source) push(v);
-  for (NodeId v : eq.candidates.to_target) push(v);
-
+  // The g-only induced subgraph: the baselines add candidates themselves.
+  auto search = BuildSearchGraph(g, {s, t}, eq.candidates);
+  RELMAX_CHECK(search.ok());
+  eq.sub_nodes = std::move(search->nodes);
+  eq.sub_candidates = std::move(search->candidates);
   auto sub = g.InducedSubgraph(eq.sub_nodes);
   RELMAX_CHECK(sub.ok());
   eq.sub = *std::move(sub);
   eq.sub_s = 0;
   eq.sub_t = 1;
-
-  std::vector<NodeId> to_sub(g.num_nodes(), kInvalidNode);
-  for (size_t i = 0; i < eq.sub_nodes.size(); ++i) {
-    to_sub[eq.sub_nodes[i]] = static_cast<NodeId>(i);
-  }
-  for (const Edge& e : eq.candidates.edges) {
-    eq.sub_candidates.push_back({to_sub[e.src], to_sub[e.dst], e.prob});
-  }
   return eq;
 }
 

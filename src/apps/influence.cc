@@ -82,25 +82,17 @@ StatusOr<InfluenceResult> MaximizeInfluenceSpread(
 
   auto candidates = SelectCandidatesMulti(g, sources, targets, options);
   RELMAX_RETURN_IF_ERROR(candidates.status());
-  const UncertainGraph g_plus = AugmentGraph(g, candidates->edges);
-
-  // Induced working subgraph: query nodes + eliminated sets.
-  std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) nodes.push_back(v);
-  };
-  for (NodeId v : sources) push(v);
-  for (NodeId v : targets) push(v);
-  for (NodeId v : candidates->from_source) push(v);
-  for (NodeId v : candidates->to_target) push(v);
-  auto sub_or = g_plus.InducedSubgraph(nodes);
-  RELMAX_RETURN_IF_ERROR(sub_or.status());
-  const UncertainGraph& sub = *sub_or;
-  std::vector<NodeId> to_sub(g_plus.num_nodes(), kInvalidNode);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    to_sub[nodes[i]] = static_cast<NodeId>(i);
-  }
+  // Working graph: the search graph over the query nodes and eliminated
+  // sets, in its compact ids.
+  std::vector<NodeId> query_nodes = sources;
+  query_nodes.insert(query_nodes.end(), targets.begin(), targets.end());
+  auto search = BuildSearchGraph(g, query_nodes, *candidates);
+  RELMAX_RETURN_IF_ERROR(search.status());
+  const UncertainGraph& sub = search->graph;
+  std::vector<NodeId> sub_sources;
+  std::vector<NodeId> sub_targets;
+  for (NodeId s : sources) sub_sources.push_back(search->compact_id[s]);
+  for (NodeId t : targets) sub_targets.push_back(search->compact_id[t]);
 
   // Path pooling over a capped, deterministic round-robin of (s, t) pairs.
   std::vector<PathResult> pool;
@@ -109,44 +101,23 @@ StatusOr<InfluenceResult> MaximizeInfluenceSpread(
   for (size_t step = 0;
        step < sources.size() * targets.size() && pairs_used < pair_cap;
        ++step) {
-    const NodeId s = sources[step % sources.size()];
-    const NodeId t = targets[(step * 7 + rng.NextUint64(targets.size())) %
-                             targets.size()];
+    const NodeId s = sub_sources[step % sources.size()];
+    const NodeId t = sub_targets[(step * 7 + rng.NextUint64(targets.size())) %
+                                 targets.size()];
     ++pairs_used;
-    std::vector<PathResult> paths =
-        TopLReliablePaths(sub, to_sub[s], to_sub[t], options.top_l);
-    for (PathResult& path : paths) {
-      for (NodeId& v : path.nodes) v = nodes[v];
+    for (PathResult& path : TopLReliablePaths(sub, s, t, options.top_l)) {
       pool.push_back(std::move(path));
     }
   }
   const std::vector<AnnotatedPath> annotated =
-      AnnotatePaths(g_plus, pool, candidates->edges);
+      AnnotatePaths(sub, pool, search->candidates);
 
   // Batch selection scored on the spread over the union subgraph (all
   // sources/targets mapped; paths define the candidate wiring).
-  std::vector<NodeId> sub_sources;
-  std::vector<NodeId> sub_targets;
-  for (NodeId s : sources) sub_sources.push_back(to_sub[s]);
-  for (NodeId t : targets) sub_targets.push_back(to_sub[t]);
   auto objective = [&](const std::vector<int>& selected, uint64_t salt) {
-    UncertainGraph union_graph =
-        sub.directed() ? UncertainGraph::Directed(sub.num_nodes())
-                       : UncertainGraph::Undirected(sub.num_nodes());
-    for (int i : selected) {
-      const PathResult& path = annotated[i].path;
-      for (size_t j = 0; j + 1 < path.nodes.size(); ++j) {
-        const NodeId u = to_sub[path.nodes[j]];
-        const NodeId v = to_sub[path.nodes[j + 1]];
-        if (union_graph.HasEdge(u, v)) continue;
-        const auto prob = sub.EdgeProb(u, v);
-        RELMAX_DCHECK(prob.has_value());
-        (void)union_graph.AddEdge(u, v, *prob);
-      }
-    }
-    return InfluenceSpread(union_graph, sub_sources, sub_targets,
-                           options.num_samples, options.seed ^ salt,
-                           options.num_threads);
+    return InfluenceSpread(UnionOfSelectedPaths(sub, annotated, selected),
+                           sub_sources, sub_targets, options.num_samples,
+                           options.seed ^ salt, options.num_threads);
   };
   const std::vector<int> indices = SelectEdgesByPathBatchesObjective(
       annotated, options.budget_k, objective);

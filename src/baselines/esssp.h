@@ -16,7 +16,8 @@ namespace relmax {
 /// The expected shortest-path length of a pair is estimated over sampled
 /// possible worlds (hop-count distance; an unreachable pair contributes the
 /// disconnection penalty `num_nodes`). This is the uncertain-graph analogue
-/// of the original deterministic objective — see DESIGN.md §1.3.
+/// of the original deterministic objective, which has no meaning until a
+/// possible world fixes the edges.
 StatusOr<std::vector<Edge>> SelectEsssp(const UncertainGraph& g,
                                         const std::vector<NodeId>& sources,
                                         const std::vector<NodeId>& targets,

@@ -9,8 +9,8 @@
 
 namespace relmax {
 
-/// Optimized single-edge marginal-gain machinery (ablation; see DESIGN.md
-/// §1.4). For one added edge (u, v) with probability ζ the exact marginal
+/// Optimized single-edge marginal-gain machinery (an ablation, run by
+/// bench_ablation_design). For one added edge (u, v) with probability ζ the exact marginal
 /// reliability gain is
 ///
 ///   ΔR = ζ · Pr[ s→u ∧ v→t ∧ ¬(s→t) ]

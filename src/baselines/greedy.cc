@@ -23,15 +23,7 @@ Status ValidateGreedyArgs(const UncertainGraph& g, NodeId s, NodeId t,
   // scoring them as gain 0 (release) or tripping a DCHECK (debug) hides the
   // caller's bug. Duplicates of existing edges remain allowed.
   for (const Edge& c : candidates) {
-    if (c.src >= g.num_nodes() || c.dst >= g.num_nodes()) {
-      return Status::OutOfRange("candidate endpoint out of range");
-    }
-    if (c.src == c.dst) {
-      return Status::InvalidArgument("candidate edge is a self-loop");
-    }
-    if (!(c.prob >= 0.0 && c.prob <= 1.0)) {
-      return Status::InvalidArgument("candidate probability outside [0, 1]");
-    }
+    RELMAX_RETURN_IF_ERROR(g.ValidateEdge(c.src, c.dst, c.prob));
   }
   return Status::Ok();
 }

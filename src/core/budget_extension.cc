@@ -54,23 +54,13 @@ StatusOr<BudgetedSolution> MaximizeReliabilityWithProbabilityBudget(
   auto candidates = SelectCandidates(g, s, t, elimination_options);
   RELMAX_RETURN_IF_ERROR(candidates.status());
 
-  const UncertainGraph g_plus = AugmentGraph(g, candidates->edges);
-  std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) nodes.push_back(v);
-  };
-  push(s);
-  push(t);
-  for (NodeId v : candidates->from_source) push(v);
-  for (NodeId v : candidates->to_target) push(v);
-  auto sub_or = g_plus.InducedSubgraph(nodes);
-  RELMAX_RETURN_IF_ERROR(sub_or.status());
-  std::vector<PathResult> paths =
-      TopLReliablePaths(*sub_or, 0, 1, options.top_l);
-  for (PathResult& path : paths) {
-    for (NodeId& v : path.nodes) v = nodes[v];
-  }
+  // Paths and the skeleton live in the search graph's compact ids, where s
+  // and t are nodes 0 and 1.
+  auto search = BuildSearchGraph(g, {s, t}, *candidates);
+  RELMAX_RETURN_IF_ERROR(search.status());
+  const UncertainGraph& sub = search->graph;
+  const std::vector<PathResult> paths =
+      TopLReliablePaths(sub, 0, 1, options.top_l);
   if (paths.empty()) {
     solution.reliability_after = solution.reliability_before;
     return solution;
@@ -79,9 +69,9 @@ StatusOr<BudgetedSolution> MaximizeReliabilityWithProbabilityBudget(
   // Candidate lookup and the evaluation skeleton: the union of all path
   // edges, with candidate edges' probabilities supplied by the allocation.
   std::unordered_map<uint64_t, int> candidate_index;
-  for (int i = 0; i < static_cast<int>(candidates->edges.size()); ++i) {
-    candidate_index.emplace(
-        PairKey(g, candidates->edges[i].src, candidates->edges[i].dst), i);
+  for (int i = 0; i < static_cast<int>(search->candidates.size()); ++i) {
+    const Edge& c = search->candidates[i];
+    candidate_index.emplace(PairKey(sub, c.src, c.dst), i);
   }
   struct SkeletonEdge {
     NodeId src;
@@ -96,21 +86,22 @@ StatusOr<BudgetedSolution> MaximizeReliabilityWithProbabilityBudget(
     auto [it, inserted] = remap.emplace(v, static_cast<NodeId>(remap.size()));
     return it->second;
   };
-  const NodeId sub_s = map_node(s);
-  const NodeId sub_t = map_node(t);
+  const NodeId sub_s = map_node(0);
+  const NodeId sub_t = map_node(1);
   std::set<int> relevant;  // candidate indices on any top-l path
   for (const PathResult& path : paths) {
     for (size_t i = 0; i + 1 < path.nodes.size(); ++i) {
       const NodeId u = path.nodes[i];
       const NodeId v = path.nodes[i + 1];
-      if (!skeleton_keys.insert(PairKey(g_plus, u, v)).second) continue;
+      const uint64_t key = PairKey(sub, u, v);
+      if (!skeleton_keys.insert(key).second) continue;
       SkeletonEdge edge{map_node(u), map_node(v), 0.0, -1};
-      auto cand = candidate_index.find(PairKey(g, u, v));
+      auto cand = candidate_index.find(key);
       if (cand != candidate_index.end()) {
         edge.candidate = cand->second;
         relevant.insert(cand->second);
       } else {
-        const auto prob = g.EdgeProb(u, v);
+        const auto prob = sub.EdgeProb(u, v);
         RELMAX_DCHECK(prob.has_value());
         edge.base_prob = *prob;
       }

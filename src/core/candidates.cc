@@ -127,6 +127,77 @@ StatusOr<CandidateSet> SelectCandidatesMulti(
   return result;
 }
 
+StatusOr<SearchGraph> BuildSearchGraph(const UncertainGraph& g,
+                                       const std::vector<NodeId>& query_nodes,
+                                       const CandidateSet& candidates) {
+  for (const Edge& e : candidates.edges) {
+    RELMAX_RETURN_IF_ERROR(g.ValidateEdge(e.src, e.dst, e.prob));
+  }
+  for (const std::vector<NodeId>* list :
+       {&query_nodes, &candidates.from_source, &candidates.to_target}) {
+    for (NodeId v : *list) {
+      if (v >= g.num_nodes()) {
+        return Status::OutOfRange("search-graph node out of range");
+      }
+    }
+  }
+  SearchGraph search;
+  search.compact_id.assign(g.num_nodes(), kInvalidNode);
+  auto push = [&](NodeId v) {
+    if (search.compact_id[v] != kInvalidNode) return;
+    search.compact_id[v] = static_cast<NodeId>(search.nodes.size());
+    search.nodes.push_back(v);
+  };
+  for (NodeId v : query_nodes) push(v);
+  for (NodeId v : candidates.from_source) push(v);
+  for (NodeId v : candidates.to_target) push(v);
+  for (const Edge& e : candidates.edges) {
+    push(e.src);
+    push(e.dst);
+  }
+  const NodeId k = static_cast<NodeId>(search.nodes.size());
+  search.candidates.reserve(candidates.edges.size());
+  for (const Edge& e : candidates.edges) {
+    search.candidates.push_back(
+        {search.compact_id[e.src], search.compact_id[e.dst], e.prob});
+  }
+
+  // Candidate indices by compact tail (both ends when undirected), in
+  // candidate order: where AugmentGraph's appended edges sit in each node's
+  // CSR run, after the node's own arcs.
+  std::vector<std::vector<int>> candidate_arcs(k);
+  for (int i = 0; i < static_cast<int>(search.candidates.size()); ++i) {
+    candidate_arcs[search.candidates[i].src].push_back(i);
+    if (!g.directed()) candidate_arcs[search.candidates[i].dst].push_back(i);
+  }
+
+  // Node by node, g's in-set arcs and then the candidate arcs. A pair that
+  // is already present (the second arc of an undirected edge, a candidate
+  // duplicating an edge or an earlier candidate) is skipped, exactly as
+  // AugmentGraph and InducedSubgraph skip it.
+  search.graph =
+      g.directed() ? UncertainGraph::Directed(k) : UncertainGraph::Undirected(k);
+  const CsrView csr = g.OutCsr();
+  auto add = [&](NodeId u, NodeId v, double p) {
+    if (search.graph.HasEdge(u, v)) return;
+    const Status st = search.graph.AddEdge(u, v, p);
+    RELMAX_DCHECK(st.ok());
+    (void)st;
+  };
+  for (NodeId u = 0; u < k; ++u) {
+    const NodeId orig = search.nodes[u];
+    for (size_t a = csr.begin(orig); a < csr.end(orig); ++a) {
+      const NodeId v = search.compact_id[csr.heads[a]];
+      if (v != kInvalidNode) add(u, v, csr.probs[a]);
+    }
+    for (int i : candidate_arcs[u]) {
+      const Edge& e = search.candidates[i];
+      add(u, e.src == u ? e.dst : e.src, e.prob);
+    }
+  }
+  return search;
+}
+
 std::vector<Edge> AllMissingEdges(const UncertainGraph& g, double zeta,
                                   int hop_h) {
   std::vector<Edge> edges;

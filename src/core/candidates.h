@@ -36,6 +36,30 @@ StatusOr<CandidateSet> SelectCandidatesMulti(const UncertainGraph& g,
                                              const std::vector<NodeId>& targets,
                                              const SolverOptions& options);
 
+/// G ∪ E+ restricted to the nodes a path search may use (§5): the top-l
+/// paths and the batch selection only ever see this graph, in compact ids.
+struct SearchGraph {
+  /// Compact id -> original id: the query nodes, C(s), C(t), then any other
+  /// candidate endpoint, each kept at its first appearance.
+  std::vector<NodeId> nodes;
+  /// Original id -> compact id; kInvalidNode for nodes outside `nodes`.
+  std::vector<NodeId> compact_id;
+  /// CandidateSet::edges in compact ids, at the same indices.
+  std::vector<Edge> candidates;
+  /// (G ∪ E+) induced on `nodes`, edge for edge (ids included) the graph
+  /// AugmentGraph(g, E+).InducedSubgraph(nodes) would give.
+  UncertainGraph graph = UncertainGraph::Directed(0);
+};
+
+/// Builds the SearchGraph straight from g's CSR, without copying g. Every
+/// query node and node-list entry must be a node of g, and every candidate
+/// edge must pass UncertainGraph::ValidateEdge (OutOfRange / InvalidArgument
+/// otherwise). Candidates duplicating an edge of g or an earlier candidate
+/// are kept in `candidates` but add no edge, as in AugmentGraph.
+StatusOr<SearchGraph> BuildSearchGraph(const UncertainGraph& g,
+                                       const std::vector<NodeId>& query_nodes,
+                                       const CandidateSet& candidates);
+
 /// All missing edges of the graph (each with probability ζ), optionally
 /// restricted to the h-hop constraint — the baselines' candidate space when
 /// elimination is disabled. Quadratic; intended for small/medium graphs.

@@ -56,69 +56,36 @@ StatusOr<MultiSolution> SolveAverage(const UncertainGraph& g,
   solution.stats.candidate_edges = candidates->edges.size();
 
   WallTimer selection_timer;
-  const UncertainGraph g_plus = AugmentGraph(g, candidates->edges);
-
-  // Work on the subgraph induced by the eliminated node sets plus all query
-  // nodes; paths are found and the objective evaluated there.
-  std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) nodes.push_back(v);
-  };
-  for (NodeId v : sources) push(v);
-  for (NodeId v : targets) push(v);
-  for (NodeId v : candidates->from_source) push(v);
-  for (NodeId v : candidates->to_target) push(v);
-  auto sub_or = g_plus.InducedSubgraph(nodes);
-  RELMAX_RETURN_IF_ERROR(sub_or.status());
-  const UncertainGraph& sub = *sub_or;
-  std::vector<NodeId> to_sub(g_plus.num_nodes(), kInvalidNode);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    to_sub[nodes[i]] = static_cast<NodeId>(i);
-  }
+  // Paths are found and the objective evaluated on the search graph over
+  // all query nodes and the eliminated sets, in its compact ids.
+  std::vector<NodeId> query_nodes = sources;
+  query_nodes.insert(query_nodes.end(), targets.begin(), targets.end());
+  auto search = BuildSearchGraph(g, query_nodes, *candidates);
+  RELMAX_RETURN_IF_ERROR(search.status());
+  const UncertainGraph& sub = search->graph;
+  std::vector<NodeId> sub_sources;
+  std::vector<NodeId> sub_targets;
+  for (NodeId s : sources) sub_sources.push_back(search->compact_id[s]);
+  for (NodeId t : targets) sub_targets.push_back(search->compact_id[t]);
 
   // Pool the top-l most reliable paths of every pair (paper: |S||T|·l paths).
   std::vector<PathResult> pool;
-  for (NodeId s : sources) {
-    for (NodeId t : targets) {
-      std::vector<PathResult> paths =
-          TopLReliablePaths(sub, to_sub[s], to_sub[t], options.top_l);
-      for (PathResult& path : paths) {
-        for (NodeId& v : path.nodes) v = nodes[v];  // back to g_plus ids
+  for (NodeId s : sub_sources) {
+    for (NodeId t : sub_targets) {
+      for (PathResult& path : TopLReliablePaths(sub, s, t, options.top_l)) {
         pool.push_back(std::move(path));
       }
     }
   }
   const std::vector<AnnotatedPath> annotated =
-      AnnotatePaths(g_plus, pool, candidates->edges);
+      AnnotatePaths(sub, pool, search->candidates);
   solution.stats.paths_considered = annotated.size();
 
-  // Average objective over the union subgraph of the selected paths; all
-  // query nodes stay mapped so unreachable pairs count as 0.
-  std::vector<NodeId> sub_sources;
-  std::vector<NodeId> sub_targets;
-  for (NodeId s : sources) sub_sources.push_back(to_sub[s]);
-  for (NodeId t : targets) sub_targets.push_back(to_sub[t]);
   auto objective = [&](const std::vector<int>& selected, uint64_t salt) {
-    // Union subgraph in *sub* coordinates (dense already).
-    UncertainGraph union_graph =
-        sub.directed() ? UncertainGraph::Directed(sub.num_nodes())
-                       : UncertainGraph::Undirected(sub.num_nodes());
-    for (int i : selected) {
-      const PathResult& path = annotated[i].path;
-      for (size_t j = 0; j + 1 < path.nodes.size(); ++j) {
-        const NodeId u = to_sub[path.nodes[j]];
-        const NodeId v = to_sub[path.nodes[j + 1]];
-        if (union_graph.HasEdge(u, v)) continue;
-        const auto prob = sub.EdgeProb(u, v);
-        RELMAX_DCHECK(prob.has_value());
-        (void)union_graph.AddEdge(u, v, *prob);
-      }
-    }
-    const auto matrix =
-        PairwiseReliability(union_graph, sub_sources, sub_targets,
-                            options.num_samples, options.seed ^ salt,
-                            options.num_threads);
+    const auto matrix = PairwiseReliability(
+        UnionOfSelectedPaths(sub, annotated, selected), sub_sources,
+        sub_targets, options.num_samples, options.seed ^ salt,
+        options.num_threads);
     return AggregateMatrix(matrix, Aggregate::kAverage);
   };
 

@@ -70,6 +70,26 @@ std::vector<AnnotatedPath> AnnotatePaths(const UncertainGraph& g_plus,
   return out;
 }
 
+UncertainGraph UnionOfSelectedPaths(const UncertainGraph& g,
+                                    const std::vector<AnnotatedPath>& paths,
+                                    const std::vector<int>& selected) {
+  UncertainGraph union_graph = g.directed()
+                                   ? UncertainGraph::Directed(g.num_nodes())
+                                   : UncertainGraph::Undirected(g.num_nodes());
+  for (int i : selected) {
+    const std::vector<NodeId>& nodes = paths[i].path.nodes;
+    for (size_t j = 0; j + 1 < nodes.size(); ++j) {
+      const NodeId u = nodes[j];
+      const NodeId v = nodes[j + 1];
+      if (union_graph.HasEdge(u, v)) continue;
+      const auto prob = g.EdgeProb(u, v);
+      RELMAX_DCHECK(prob.has_value());
+      (void)union_graph.AddEdge(u, v, *prob);
+    }
+  }
+  return union_graph;
+}
+
 std::vector<PathBatch> BuildPathBatches(
     const std::vector<AnnotatedPath>& paths) {
   std::map<std::vector<int>, std::vector<int>> groups;

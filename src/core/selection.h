@@ -25,6 +25,14 @@ std::vector<AnnotatedPath> AnnotatePaths(
     const UncertainGraph& g_plus, const std::vector<PathResult>& paths,
     const std::vector<Edge>& candidates);
 
+/// The graph on g's node set holding each edge of the selected paths once,
+/// with g's probabilities: the union subgraph that the multi-pair (§6.1) and
+/// influence-spread objectives evaluate. Nodes off the paths stay isolated,
+/// so unreachable query pairs count as 0.
+UncertainGraph UnionOfSelectedPaths(const UncertainGraph& g,
+                                    const std::vector<AnnotatedPath>& paths,
+                                    const std::vector<int>& selected);
+
 /// A path batch (Algorithm 6): all paths sharing one candidate-edge label.
 struct PathBatch {
   std::vector<int> label;         ///< sorted candidate indices (may be empty)

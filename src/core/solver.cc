@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "common/memory.h"
 #include "common/timer.h"
@@ -13,42 +12,6 @@
 
 namespace relmax {
 namespace {
-
-// Top-l most reliable s-t paths in g_plus, optionally computed on the
-// subgraph induced by the eliminated node set (C(s) ∪ C(t) ∪ {s, t}) and
-// mapped back to g_plus ids.
-std::vector<PathResult> FindTopPaths(const UncertainGraph& g_plus, NodeId s,
-                                     NodeId t, const CandidateSet& candidates,
-                                     const SolverOptions& options) {
-  if (!options.paths_on_eliminated_subgraph) {
-    return TopLReliablePaths(g_plus, s, t, options.top_l);
-  }
-  // Dense node list: s, t first, then the eliminated sets.
-  std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) nodes.push_back(v);
-  };
-  push(s);
-  push(t);
-  for (NodeId v : candidates.from_source) push(v);
-  for (NodeId v : candidates.to_target) push(v);
-  // Caller-supplied candidate sets may omit the node lists; make sure every
-  // candidate edge stays usable.
-  for (const Edge& e : candidates.edges) {
-    push(e.src);
-    push(e.dst);
-  }
-
-  auto sub = g_plus.InducedSubgraph(nodes);
-  RELMAX_CHECK(sub.ok());
-  std::vector<PathResult> mapped =
-      TopLReliablePaths(*sub, /*s=*/0, /*t=*/1, options.top_l);
-  for (PathResult& path : mapped) {
-    for (NodeId& v : path.nodes) v = nodes[v];
-  }
-  return mapped;
-}
 
 size_t CountDistinctCandidates(const std::vector<AnnotatedPath>& paths) {
   std::set<int> distinct;
@@ -120,19 +83,22 @@ StatusOr<Solution> MaximizeReliabilityWithCandidates(
     RELMAX_RETURN_IF_ERROR(improvement.status());
     solution.added_edges = improvement->added_edges;
   } else {
-    const UncertainGraph g_plus = AugmentGraph(g, candidates.edges);
-    const std::vector<PathResult> paths =
-        FindTopPaths(g_plus, s, t, candidates, options);
-    const std::vector<AnnotatedPath> annotated =
-        AnnotatePaths(g_plus, paths, candidates.edges);
+    // Paths and selection run in the search graph's compact ids, where s
+    // and t are nodes 0 and 1; only the chosen indices map back.
+    auto search = BuildSearchGraph(g, {s, t}, candidates);
+    RELMAX_RETURN_IF_ERROR(search.status());
+    const std::vector<AnnotatedPath> annotated = AnnotatePaths(
+        search->graph, TopLReliablePaths(search->graph, 0, 1, options.top_l),
+        search->candidates);
     solution.stats.paths_considered = annotated.size();
     solution.stats.candidate_edges_after_path_filter =
         CountDistinctCandidates(annotated);
 
     const std::vector<int> indices =
         method == CoreMethod::kBatchEdges
-            ? SelectEdgesByPathBatches(g_plus, s, t, annotated, options)
-            : SelectEdgesByIndividualPaths(g_plus, s, t, annotated, options);
+            ? SelectEdgesByPathBatches(search->graph, 0, 1, annotated, options)
+            : SelectEdgesByIndividualPaths(search->graph, 0, 1, annotated,
+                                           options);
     solution.added_edges.reserve(indices.size());
     for (int i : indices) solution.added_edges.push_back(candidates.edges[i]);
   }

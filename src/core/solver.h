@@ -38,16 +38,18 @@ inline const char* CoreMethodName(CoreMethod method) {
 /// probability ζ, maximizing R(s, t).
 ///
 /// Pipeline (§5): reliability-based search-space elimination (Algorithm 4) →
-/// top-l most reliable paths in the candidate-augmented graph → edge
-/// selection with the chosen method. Every step is deterministic given
-/// `options.seed`.
+/// top-l most reliable paths in the search graph (G ∪ E+ induced on C(s) ∪
+/// C(t), see BuildSearchGraph) → edge selection with the chosen method.
+/// Every step is deterministic given `options.seed`.
 StatusOr<Solution> MaximizeReliability(
     const UncertainGraph& g, NodeId s, NodeId t, const SolverOptions& options,
     CoreMethod method = CoreMethod::kBatchEdges);
 
 /// Variant with a precomputed candidate set — lets callers share one
 /// elimination pass across methods (as the paper's Table 5 does) or supply
-/// custom candidate edges with per-edge probabilities (Table 16).
+/// custom candidate edges with per-edge probabilities (Table 16). Every
+/// method rejects a malformed candidate edge with the code
+/// UncertainGraph::ValidateEdge gives it.
 StatusOr<Solution> MaximizeReliabilityWithCandidates(
     const UncertainGraph& g, NodeId s, NodeId t,
     const CandidateSet& candidates, const SolverOptions& options,

@@ -49,9 +49,6 @@ struct SolverOptions {
   /// selection); <= 0 means all hardware threads. Solutions are
   /// bit-identical for a fixed seed regardless of this value.
   int num_threads = 1;
-  /// Run the top-l path search on the subgraph induced by C(s) ∪ C(t)
-  /// (fast, the default) instead of on the full augmented graph.
-  bool paths_on_eliminated_subgraph = true;
   /// Sample one shared set of `num_samples` possible worlds per solve
   /// (WorldBank) and score every greedy candidate against it — common random
   /// numbers — instead of re-sampling fresh worlds per (round × candidate)

@@ -19,8 +19,10 @@ struct Dataset {
   std::vector<std::pair<double, double>> positions;
 };
 
-/// Names understood by MakeDataset — the paper's 5 real datasets (structural
-/// stand-ins, see DESIGN.md §1.3) and 8 synthetic ones (Table 8):
+/// Names understood by MakeDataset — the paper's 5 real datasets (generated
+/// stand-ins that mimic each one's directedness, degree shape and
+/// probability model; the real graphs are not bundled) and 8 synthetic ones
+/// (Table 8):
 ///   intel_lab, lastfm, as_topology, dblp, twitter,
 ///   random1, random2, regular1, regular2,
 ///   smallworld1, smallworld2, scalefree1, scalefree2

@@ -75,14 +75,28 @@ NodeId UncertainGraph::AddNode() {
   return num_nodes_++;
 }
 
-Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
+namespace {
+
+// Written so that NaN, which fails every comparison, is rejected too.
+Status ValidateProb(double p) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument("edge probability must be in [0, 1]");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status UncertainGraph::ValidateEdge(NodeId u, NodeId v, double p) const {
   if (u >= num_nodes_ || v >= num_nodes_) {
     return Status::OutOfRange("edge endpoint exceeds num_nodes");
   }
   if (u == v) return Status::InvalidArgument("self-loops are not supported");
-  if (p < 0.0 || p > 1.0) {
-    return Status::InvalidArgument("edge probability must be in [0, 1]");
-  }
+  return ValidateProb(p);
+}
+
+Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
+  RELMAX_RETURN_IF_ERROR(ValidateEdge(u, v, p));
   const uint64_t key = EdgeKey(u, v);
   if (edge_index_.count(key) > 0) {
     return Status::AlreadyExists("edge (" + std::to_string(u) + ", " +
@@ -102,9 +116,7 @@ Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
 }
 
 Status UncertainGraph::UpdateEdgeProb(NodeId u, NodeId v, double p) {
-  if (p < 0.0 || p > 1.0) {
-    return Status::InvalidArgument("edge probability must be in [0, 1]");
-  }
+  RELMAX_RETURN_IF_ERROR(ValidateProb(p));
   auto it = edge_index_.find(EdgeKey(u, v));
   if (it == edge_index_.end()) {
     return Status::NotFound("edge (" + std::to_string(u) + ", " +

@@ -179,8 +179,14 @@ class UncertainGraph {
   NodeId AddNode();
 
   /// Adds edge (u, v) with probability p. Fails on self-loops, out-of-range
-  /// endpoints, p outside [0, 1], or duplicate edges.
+  /// endpoints, p outside [0, 1] (NaN included), or duplicate edges.
   Status AddEdge(NodeId u, NodeId v, double p);
+
+  /// AddEdge's test of (u, v, p) without the duplicate check: OutOfRange for
+  /// an endpoint outside [0, num_nodes()), InvalidArgument for a self-loop or
+  /// a probability outside [0, 1] (NaN included). APIs that take edges to
+  /// add later (candidate sets) validate them with it up front.
+  Status ValidateEdge(NodeId u, NodeId v, double p) const;
 
   /// Replaces the probability of existing edge (u, v).
   Status UpdateEdgeProb(NodeId u, NodeId v, double p);

@@ -27,15 +27,7 @@ StatusOr<MrpImprovement> ImproveMostReliablePathWithCandidates(
   if (s >= n || t >= n) return Status::OutOfRange("query node out of range");
   if (k < 0) return Status::InvalidArgument("budget k must be non-negative");
   for (const Edge& e : candidates) {
-    if (e.src >= n || e.dst >= n) {
-      return Status::OutOfRange("candidate endpoint out of range");
-    }
-    if (e.src == e.dst) {
-      return Status::InvalidArgument("candidate self-loop");
-    }
-    if (e.prob < 0.0 || e.prob > 1.0) {
-      return Status::InvalidArgument("candidate probability outside [0, 1]");
-    }
+    RELMAX_RETURN_IF_ERROR(g.ValidateEdge(e.src, e.dst, e.prob));
   }
 
   // Red adjacency; undirected graphs can traverse a candidate either way.

@@ -12,11 +12,10 @@ namespace relmax {
 /// probability order (ties broken deterministically).
 ///
 /// The paper invokes Eppstein's k-shortest-paths algorithm [27] here; we use
-/// Yen's deviation algorithm instead (see DESIGN.md §1.3): Eppstein
-/// enumerates non-simple paths, which can never be most-reliable under
-/// multiplicative probabilities, and the selection stage (§5.2) consumes
-/// simple paths. Returns fewer than l paths when the graph does not contain
-/// that many.
+/// Yen's deviation algorithm instead: Eppstein enumerates non-simple paths,
+/// which can never be most-reliable under multiplicative probabilities, and
+/// the selection stage (§5.2) consumes simple paths. Returns fewer than l
+/// paths when the graph does not contain that many.
 std::vector<PathResult> TopLReliablePaths(const UncertainGraph& g, NodeId s,
                                           NodeId t, int l);
 

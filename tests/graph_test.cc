@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "graph/bfs.h"
@@ -64,6 +65,16 @@ TEST(UncertainGraphTest, RejectsInvalidEdges) {
   ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
   EXPECT_EQ(g.AddEdge(0, 1, 0.6).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(g.num_edges(), 1u);
+}
+
+TEST(UncertainGraphTest, RejectsNanProbability) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  UncertainGraph g = UncertainGraph::Directed(3);
+  EXPECT_EQ(g.AddEdge(0, 1, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.num_edges(), 0u);
+  ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
+  EXPECT_EQ(g.UpdateEdgeProb(0, 1, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(g.EdgeProb(0, 1).value(), 0.5);
 }
 
 TEST(UncertainGraphTest, UndirectedDuplicateDetectedEitherOrientation) {
@@ -320,6 +331,15 @@ TEST(GraphIoTest, MalformedHeader) {
   const std::string path = testing::TempDir() + "/relmax_io_bad.graph";
   FILE* f = fopen(path.c_str(), "w");
   fputs("sideways 4\n", f);
+  fclose(f);
+  EXPECT_EQ(ReadEdgeList(path).status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoTest, RejectsNanProbability) {
+  const std::string path = testing::TempDir() + "/relmax_io_nan.graph";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs("directed 2\n0 1 nan\n", f);
   fclose(f);
   EXPECT_EQ(ReadEdgeList(path).status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());

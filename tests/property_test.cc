@@ -21,7 +21,6 @@
 #include "query/query_engine.h"
 #include "query/query_set.h"
 #include "sampling/bitlane.h"
-#include "sampling/lazy_propagation.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
@@ -196,8 +195,8 @@ TEST(ExactOracleTest, OracleMatchesClosedFormsAndFactoring) {
   }
 }
 
-// Every estimator backend — MC (serial and batched-parallel), RSS, lazy
-// propagation, and the WorldBank word-parallel fixpoint — agrees with the
+// Every estimator backend — MC (serial and batched-parallel), RSS, and the
+// WorldBank word-parallel fixpoint — agrees with the
 // brute-force enumeration oracle within 3σ, on random directed and
 // undirected graphs of ≤ 10 edges. All streams are fixed-seed, so the
 // tolerance is deterministic, not flaky.
@@ -235,9 +234,6 @@ TEST_P(ExactOracleConformanceSweep, EstimatorsMatchBruteForceEnumeration) {
   const double rss = EstimateReliabilityRss(
       g, s, t, {.num_samples = kSamples, .seed = 92});
   EXPECT_NEAR(rss, exact, band) << "RSS";
-
-  const double lazy = EstimateReliabilityLazy(g, s, t, kSamples, 93);
-  EXPECT_NEAR(lazy, exact, band) << "lazy propagation";
 
   // The WorldBank fixpoint answer must be within the band AND bit-identical
   // across lane kernels: scalar and blocked walk the same monotone algebra,

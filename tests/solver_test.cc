@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -204,6 +205,41 @@ TEST(SolverTest, CustomCandidateSetWithPerEdgeProbabilities) {
   // The stronger candidate (0 -> 1 at 0.8) must win.
   EXPECT_EQ(solution->added_edges[0].dst, 1u);
   EXPECT_DOUBLE_EQ(solution->added_edges[0].prob, 0.8);
+}
+
+TEST(SolverTest, MalformedCandidatesFailTheSameWayForEveryMethod) {
+  // Caller-supplied candidates are validated once, with AddEdge's own test:
+  // BE and IP used to abort on an out-of-range endpoint and silently drop a
+  // self-loop or a bad probability, while MRP returned a typed error.
+  const UncertainGraph g = TwoClusters();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    Edge edge;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {{0, 12, 0.5}, StatusCode::kOutOfRange},
+      {{99, 11, 0.5}, StatusCode::kOutOfRange},
+      {{3, 3, 0.5}, StatusCode::kInvalidArgument},
+      {{0, 11, 1.5}, StatusCode::kInvalidArgument},
+      {{0, 11, -0.5}, StatusCode::kInvalidArgument},
+      {{0, 11, nan}, StatusCode::kInvalidArgument},
+  };
+  for (const Case& bad : cases) {
+    CandidateSet candidates;
+    candidates.edges = {{1, 10, 0.5}, bad.edge};
+    for (CoreMethod method :
+         {CoreMethod::kBatchEdges, CoreMethod::kIndividualPaths,
+          CoreMethod::kMostReliablePath}) {
+      EXPECT_EQ(MaximizeReliabilityWithCandidates(g, 0, 11, candidates,
+                                                  FastOptions(), method)
+                    .status()
+                    .code(),
+                bad.code)
+          << CoreMethodName(method) << " on (" << bad.edge.src << ", "
+          << bad.edge.dst << ", " << bad.edge.prob << ")";
+    }
+  }
 }
 
 // Budget sweep: gains are monotone (within sampling noise) in k, matching
