@@ -10,8 +10,8 @@
 namespace relmax {
 
 /// Optimized single-edge marginal-gain machinery (an ablation, run by
-/// bench_ablation_design). For one added edge (u, v) with probability ζ the exact marginal
-/// reliability gain is
+/// bench_ablation_design). For one added edge (u, v) with probability ζ the
+/// exact marginal reliability gain is
 ///
 ///   ΔR = ζ · Pr[ s→u ∧ v→t ∧ ¬(s→t) ]
 ///

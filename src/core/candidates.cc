@@ -175,8 +175,8 @@ StatusOr<SearchGraph> BuildSearchGraph(const UncertainGraph& g,
   // is already present (the second arc of an undirected edge, a candidate
   // duplicating an edge or an earlier candidate) is skipped, exactly as
   // AugmentGraph and InducedSubgraph skip it.
-  search.graph =
-      g.directed() ? UncertainGraph::Directed(k) : UncertainGraph::Undirected(k);
+  search.graph = g.directed() ? UncertainGraph::Directed(k)
+                              : UncertainGraph::Undirected(k);
   const CsrView csr = g.OutCsr();
   auto add = [&](NodeId u, NodeId v, double p) {
     if (search.graph.HasEdge(u, v)) return;

@@ -18,9 +18,10 @@ struct AnnotatedPath {
   std::vector<int> candidate_indices;
 };
 
-/// Annotates each path with the candidate edges it traverses.
-/// `candidate_index_of` maps a (u, v) pair in `g_plus` to a candidate index
-/// or -1; build it with MakeCandidateIndex below.
+/// Annotates each path with the candidate edges it traverses. Paths and
+/// `candidates` use g_plus's node ids (the solvers pass the search graph and
+/// its compact candidates); an undirected candidate matches either
+/// direction, and a repeated pair keeps its first index.
 std::vector<AnnotatedPath> AnnotatePaths(
     const UncertainGraph& g_plus, const std::vector<PathResult>& paths,
     const std::vector<Edge>& candidates);
